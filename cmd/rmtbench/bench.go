@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -110,12 +111,12 @@ func runBenches(out io.Writer) ([]benchResult, error) {
 		}},
 		namedBench{"RMTCutIncremental", func(b *testing.B) {
 			ic := rmt.IncrementalRMTCut{}
-			if _, found := ic.Check(revisions[0]); !found {
+			if _, found, _ := ic.CheckCtx(context.Background(), revisions[0]); !found {
 				b.Fatal("churn bench instance must be infeasible")
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, found := ic.Check(revisions[i%len(revisions)]); !found {
+				if _, found, _ := ic.CheckCtx(context.Background(), revisions[i%len(revisions)]); !found {
 					b.Fatal("churn bench instance must be infeasible")
 				}
 			}

@@ -88,24 +88,20 @@ func run(args []string, out io.Writer) error {
 		g.NumNodes(), g.NumEdges(), *dealer, *receiver, level)
 	fmt.Fprintf(out, "structure: %s (%d maximal sets)\n", in.Z, in.Z.NumMaximal())
 
-	if rmt.SolvablePKA(in) {
+	if cut, found := rmt.FindRMTCut(in); !found {
 		fmt.Fprintln(out, "RMT (partial knowledge): SOLVABLE — no RMT-cut; RMT-PKA succeeds (Thm 5)")
+	} else if err := rmt.VerifyRMTCut(in, cut); err != nil {
+		return fmt.Errorf("internal error: found witness fails verification: %w", err)
 	} else {
-		cut, _ := rmt.FindRMTCut(in)
-		if err := rmt.VerifyRMTCut(in, cut); err != nil {
-			return fmt.Errorf("internal error: found witness fails verification: %w", err)
-		}
 		fmt.Fprintf(out, "RMT (partial knowledge): UNSOLVABLE — verified witness %v (Thm 3)\n", cut)
 	}
 
 	if level == gen.AdHoc {
-		if rmt.SolvableZCPA(in) {
+		if cut, found := rmt.FindZppCut(in); !found {
 			fmt.Fprintln(out, "RMT (ad hoc / Z-CPA):    SOLVABLE — no RMT Z-pp cut (Thm 7)")
+		} else if err := rmt.VerifyZppCut(in, cut); err != nil {
+			return fmt.Errorf("internal error: found witness fails verification: %w", err)
 		} else {
-			cut, _ := rmt.FindZppCut(in)
-			if err := rmt.VerifyZppCut(in, cut); err != nil {
-				return fmt.Errorf("internal error: found witness fails verification: %w", err)
-			}
 			fmt.Fprintf(out, "RMT (ad hoc / Z-CPA):    UNSOLVABLE — verified witness %v (Thm 8)\n", cut)
 		}
 	}

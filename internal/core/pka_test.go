@@ -102,7 +102,7 @@ func TestTriplePathResilient(t *testing.T) {
 
 func TestWeakDiamondUnsolvable(t *testing.T) {
 	in := weakDiamond(t)
-	cut, found := FindRMTCut(in)
+	cut, found := findRMTCut(in)
 	if !found {
 		t.Fatal("no RMT-cut on the weak diamond")
 	}
@@ -123,7 +123,7 @@ func TestWeakDiamondUnsolvable(t *testing.T) {
 
 func TestDisconnectedTrivialCut(t *testing.T) {
 	in := adhocInstance(t, "0-1 2-3", adversary.Trivial(), 0, 3)
-	cut, found := FindRMTCut(in)
+	cut, found := findRMTCut(in)
 	if !found || !cut.Cut().IsEmpty() {
 		t.Fatalf("cut = %v found=%v, want empty cut", cut, found)
 	}
@@ -138,7 +138,7 @@ func TestChimeraKnowledgeSeparation(t *testing.T) {
 	if Solvable(adhoc) {
 		t.Fatal("chimera instance solvable in the ad hoc model")
 	}
-	cut, found := FindRMTCut(adhoc)
+	cut, found := findRMTCut(adhoc)
 	if !found {
 		t.Fatal("no cut found in ad hoc model")
 	}
@@ -148,7 +148,7 @@ func TestChimeraKnowledgeSeparation(t *testing.T) {
 
 	r2 := chimera.MustBuild(gen.Radius2)
 	if !Solvable(r2) {
-		cut, _ := FindRMTCut(r2)
+		cut, _ := findRMTCut(r2)
 		t.Fatalf("chimera instance unsolvable at radius 2; cut = %v", cut)
 	}
 

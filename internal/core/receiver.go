@@ -6,6 +6,7 @@ import (
 	"strconv"
 
 	"rmt/internal/adversary"
+	"rmt/internal/cut"
 	"rmt/internal/graph"
 	"rmt/internal/instance"
 	"rmt/internal/network"
@@ -749,16 +750,7 @@ func (r *Receiver) coverFor(gm *graph.Graph, members []int, combo []claimVer, al
 		r.joints = adversary.NewJoinCacheFunc(r.uniqueZ)
 		r.views = nodeset.NewUnionCache(r.uniqueViewNodes)
 	}
-	covered := false
-	gm.ReceiverSideCandidates(r.dealer, r.id, func(b, cut nodeset.Set) bool {
-		zb := r.joints.JointOf(b)
-		if zb.Contains(cut.Intersect(r.views.Of(b))) {
-			covered = true
-			return false
-		}
-		return true
-	})
-	return covered
+	return cut.Cover(gm, r.dealer, r.id, r.joints, r.views)
 }
 
 // uniqueZ is the run-level cover cache's claim lookup: defined exactly for
@@ -808,16 +800,7 @@ func coverFresh(gm *graph.Graph, dealer, receiver int, members []int, combo []cl
 		}
 		return nodeset.Empty()
 	})
-	covered := false
-	gm.ReceiverSideCandidates(dealer, receiver, func(b, cut nodeset.Set) bool {
-		zb := joints.JointOf(b)
-		if zb.Contains(cut.Intersect(views.Of(b))) {
-			covered = true
-			return false
-		}
-		return true
-	})
-	return covered
+	return cut.Cover(gm, dealer, receiver, joints, views)
 }
 
 // freshEval is the record-free candidate evaluation (DisableMemo, record

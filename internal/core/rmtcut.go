@@ -4,6 +4,8 @@ import (
 	"context"
 	"fmt"
 
+	"rmt/internal/adversary"
+	"rmt/internal/cut"
 	"rmt/internal/instance"
 	"rmt/internal/nodeset"
 )
@@ -13,10 +15,7 @@ import (
 // component of R in G − C and Z_B = ⊕_{v∈B} Z_v. Its existence is the tight
 // impossibility condition for RMT in the partial knowledge model
 // (Theorems 3 and 5).
-type RMTCut struct {
-	C1, C2 nodeset.Set
-	B      nodeset.Set
-}
+type RMTCut cut.Witness
 
 // Cut returns C1 ∪ C2.
 func (c RMTCut) Cut() nodeset.Set { return c.C1.Union(c.C2) }
@@ -25,74 +24,34 @@ func (c RMTCut) String() string {
 	return fmt.Sprintf("RMTCut(C1=%v, C2=%v, B=%v)", c.C1, c.C2, c.B)
 }
 
-// FindRMTCut searches the instance for an RMT-cut, returning a witness if
-// one exists.
-//
-// Completeness of the search (DESIGN.md §4): for any RMT-cut C with
-// receiver component B, the boundary N(B) is itself an RMT-cut witness for
-// the same B — C1 may be replaced by N(B) ∩ M for the maximal M ∈ 𝒵
-// covering it (monotone), and shrinking C2 only shrinks C2 ∩ V(γ(B))
-// (monotone again). So enumerating connected receiver-side candidates B
-// with C = N(B), against every maximal M, is exhaustive.
-func FindRMTCut(in *instance.Instance) (RMTCut, bool) {
-	cut, found, _ := FindRMTCutBounded(in, 0)
-	return cut, found
+// Predicate returns Def3, so cut.Incremental can decide RMT-cuts.
+func (RMTCut) Predicate() cut.Predicate { return Def3 }
+
+// Def3 is Definition 3 as a cut.Predicate: C2 ∩ V(γ(B)) ∈ Z_B.
+var Def3 = cut.Predicate{
+	Name: "C2 ∩ V(γ(B)) ∈ Z_B",
+	New:  func(in *instance.Instance) cut.Test { return &jointTest{in: in} },
 }
 
-// FindRMTCutBounded is FindRMTCut with a search budget: at most
-// maxCandidates receiver-side candidates are inspected (0 = unlimited).
-// complete reports whether the search space was fully covered; when it is
-// false and found is false, the instance's status is unknown — larger
-// graphs can use this as an anytime check. A found witness is always
-// genuine regardless of completeness (VerifyRMTCut accepts it).
-func FindRMTCutBounded(in *instance.Instance, maxCandidates int) (witness RMTCut, found, complete bool) {
-	witness, found, complete, _ = findRMTCut(context.Background(), in, maxCandidates)
-	return witness, found, complete
+// jointTest computes V(γ(B)) and Z_B once per candidate B, not once per
+// maximal set tried against it.
+type jointTest struct {
+	in  *instance.Instance
+	vgb nodeset.Set
+	zb  adversary.Restricted
 }
 
-// FindRMTCutCtx is FindRMTCut under a context: the enumeration polls
-// ctx.Err() once per receiver-side candidate and aborts with the context's
-// error, so a caller-imposed deadline or cancellation stops the
-// (worst-case exponential) search promptly instead of letting it run to
-// completion. A found witness is always genuine.
+func (t *jointTest) Side(b nodeset.Set) {
+	t.vgb, t.zb = t.in.JointViewNodes(b), t.in.JointStructure(b)
+}
+
+func (t *jointTest) Holds(c2 nodeset.Set) bool { return t.zb.Contains(c2.Intersect(t.vgb)) }
+
+// FindRMTCutCtx searches the instance for an RMT-cut (cut.Search under
+// Def3), polling ctx once per receiver-side candidate.
 func FindRMTCutCtx(ctx context.Context, in *instance.Instance) (RMTCut, bool, error) {
-	witness, found, _, err := findRMTCut(ctx, in, 0)
-	return witness, found, err
-}
-
-func findRMTCut(ctx context.Context, in *instance.Instance, maxCandidates int) (witness RMTCut, found, complete bool, err error) {
-	if !in.G.Connected(in.Dealer, in.Receiver) {
-		return RMTCut{
-			C1: nodeset.Empty(),
-			C2: nodeset.Empty(),
-			B:  in.G.ComponentOf(in.Receiver),
-		}, true, true, nil
-	}
-	inspected := 0
-	complete = true
-	in.G.ReceiverSideCandidates(in.Dealer, in.Receiver, func(b, cut nodeset.Set) bool {
-		if err = ctx.Err(); err != nil {
-			complete = false
-			return false
-		}
-		if maxCandidates > 0 && inspected >= maxCandidates {
-			complete = false
-			return false
-		}
-		inspected++
-		vgb := in.JointViewNodes(b)
-		zb := in.JointStructure(b)
-		for _, m := range in.Z.Maximal() {
-			c2 := cut.Minus(m)
-			if zb.Contains(c2.Intersect(vgb)) {
-				witness = RMTCut{C1: cut.Intersect(m), C2: c2, B: b}
-				found = true
-				return false
-			}
-		}
-		return true
-	})
-	return witness, found, complete, err
+	w, found, _, err := cut.Search(ctx, in, Def3, 0)
+	return RMTCut(w), found, err
 }
 
 // Solvable reports whether RMT is solvable on the instance, by the tight
@@ -100,6 +59,19 @@ func findRMTCut(ctx context.Context, in *instance.Instance, maxCandidates int) (
 // when RMT-PKA succeeds, which Resilient verifies operationally; the two
 // must always agree, and the test suite and experiment E2 assert they do.
 func Solvable(in *instance.Instance) bool {
-	_, found := FindRMTCut(in)
+	_, found, _, _ := cut.Search(context.Background(), in, Def3, 0)
 	return !found
 }
+
+// VerifyRMTCut checks that a claimed RMT-cut witness satisfies
+// Definition 3 on the instance (cut.Verify under Def3).
+func VerifyRMTCut(in *instance.Instance, c RMTCut) error {
+	return cut.Verify(in, Def3, cut.Witness(c))
+}
+
+// IncrementalCut maintains an RMT-cut verdict across instance revisions by
+// witness repair; see cut.Incremental.
+type IncrementalCut = cut.Incremental[RMTCut]
+
+// NewIncrementalCut returns an empty checker; the first check runs fresh.
+func NewIncrementalCut() *IncrementalCut { return &IncrementalCut{} }

@@ -50,7 +50,7 @@ func TestTightnessRandomized(t *testing.T) {
 				t.Fatal(err)
 			}
 			if solvable != resilient {
-				cut, _ := FindRMTCut(in)
+				cut, _ := findRMTCut(in)
 				t.Fatalf("trial %d (%s): cut condition solvable=%v, simulation=%v\nG=%v\nZ=%v\ncut=%v",
 					trial, name, solvable, resilient, g, z, cut)
 			}

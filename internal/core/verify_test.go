@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -12,7 +13,7 @@ import (
 
 func TestVerifyRMTCutAcceptsFound(t *testing.T) {
 	in := weakDiamond(t)
-	cut, found := FindRMTCut(in)
+	cut, found := findRMTCut(in)
 	if !found {
 		t.Fatal("no cut")
 	}
@@ -23,7 +24,7 @@ func TestVerifyRMTCutAcceptsFound(t *testing.T) {
 
 func TestVerifyRMTCutRejectsForgeries(t *testing.T) {
 	in := weakDiamond(t)
-	good, _ := FindRMTCut(in)
+	good, _ := findRMTCut(in)
 	forgeries := []struct {
 		name string
 		cut  RMTCut
@@ -71,7 +72,7 @@ func TestVerifyAllFoundWitnessesRandom(t *testing.T) {
 		if err != nil {
 			continue
 		}
-		cut, found := FindRMTCut(in)
+		cut, found := findRMTCut(in)
 		if !found {
 			continue
 		}
@@ -87,7 +88,7 @@ func TestVerifyAllFoundWitnessesRandom(t *testing.T) {
 
 func TestVerifyEmptyCutOnDisconnected(t *testing.T) {
 	in := adhocInstance(t, "0-1 2-3", adversary.Trivial(), 0, 3)
-	cut, found := FindRMTCut(in)
+	cut, found := findRMTCut(in)
 	if !found {
 		t.Fatal("no cut on disconnected instance")
 	}
@@ -96,34 +97,8 @@ func TestVerifyEmptyCutOnDisconnected(t *testing.T) {
 	}
 }
 
-func TestFindRMTCutBounded(t *testing.T) {
-	in := weakDiamond(t)
-	// Unlimited budget matches the plain search.
-	cut, found, complete := FindRMTCutBounded(in, 0)
-	if !found || !complete {
-		t.Fatalf("unbounded: found=%v complete=%v", found, complete)
-	}
-	if err := VerifyRMTCut(in, cut); err != nil {
-		t.Fatal(err)
-	}
-	// A budget of 1 may or may not find the witness, but must say so.
-	_, found1, complete1 := FindRMTCutBounded(in, 1)
-	if !found1 && complete1 {
-		t.Fatal("budget exhausted but reported complete")
-	}
-	// On a solvable multi-candidate instance (a line has one candidate per
-	// prefix of the receiver side), a tiny budget must report incomplete
-	// rather than falsely conclude solvability.
-	solvable := adhocInstance(t, "0-1 1-2 2-3 3-4", adversary.Trivial(), 0, 4)
-	if _, found, complete := FindRMTCutBounded(solvable, 1); found || complete {
-		t.Fatalf("solvable with budget 1: found=%v complete=%v (want false, false)", found, complete)
-	}
-	if _, found, complete := FindRMTCutBounded(solvable, 0); found || !complete {
-		t.Fatalf("solvable unbounded: found=%v complete=%v", found, complete)
-	}
-	// The triple path has exactly ONE candidate (every larger receiver
-	// side touches the dealer), so budget 1 covers the space completely.
-	if _, found, complete := FindRMTCutBounded(triplePath(t), 1); found || !complete {
-		t.Fatalf("triple path budget 1: found=%v complete=%v (want false, true)", found, complete)
-	}
+// findRMTCut is the search under a background context, for tests.
+func findRMTCut(in *instance.Instance) (RMTCut, bool) {
+	w, found, _ := FindRMTCutCtx(context.Background(), in)
+	return w, found
 }

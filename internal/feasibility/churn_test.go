@@ -1,6 +1,7 @@
 package feasibility_test
 
 import (
+	"context"
 	"os"
 	"strconv"
 	"testing"
@@ -42,6 +43,7 @@ func TestIncrementalMatchesFreshAcrossChurn(t *testing.T) {
 				}
 				incRMT := core.NewIncrementalCut()
 				incZpp := zcpa.NewIncrementalCut()
+				ctx := context.Background()
 				cur := base
 				for rev := 0; rev <= len(deltas); rev++ {
 					if rev > 0 {
@@ -50,8 +52,8 @@ func TestIncrementalMatchesFreshAcrossChurn(t *testing.T) {
 							t.Fatalf("chain %d rev %d (seed %d): %v", chain, rev, seed, err)
 						}
 					}
-					freshRMT, freshFoundRMT := core.FindRMTCut(cur)
-					incW, incFound := incRMT.Check(cur)
+					freshRMT, freshFoundRMT, _ := core.FindRMTCutCtx(ctx, cur)
+					incW, incFound, _ := incRMT.CheckCtx(ctx, cur)
 					if incFound != freshFoundRMT {
 						t.Fatalf("chain %d rev %d (seed %d, level %s): incremental RMT-cut verdict %v != fresh %v",
 							chain, rev, seed, level, incFound, freshFoundRMT)
@@ -64,8 +66,8 @@ func TestIncrementalMatchesFreshAcrossChurn(t *testing.T) {
 							t.Fatalf("chain %d rev %d (seed %d): fresh RMT witness invalid: %v", chain, rev, seed, err)
 						}
 					}
-					freshZpp, freshFoundZpp := zcpa.FindRMTZppCut(cur)
-					incZ, incFoundZ := incZpp.Check(cur)
+					freshZpp, freshFoundZpp, _ := zcpa.FindRMTZppCutCtx(ctx, cur)
+					incZ, incFoundZ, _ := incZpp.CheckCtx(ctx, cur)
 					if incFoundZ != freshFoundZpp {
 						t.Fatalf("chain %d rev %d (seed %d, level %s): incremental 𝒵-pp verdict %v != fresh %v",
 							chain, rev, seed, level, incFoundZ, freshFoundZpp)

@@ -1,6 +1,7 @@
 package feasibility_test
 
 import (
+	"context"
 	"testing"
 
 	"rmt/internal/core"
@@ -62,9 +63,9 @@ func TestRMTCutCharacterization(t *testing.T) {
 				if got := core.Solvable(in); got != want {
 					t.Fatalf("Solvable = %v, want %v\n%s", got, want, f.Doc)
 				}
-				cut, found := core.FindRMTCut(in)
+				cut, found, _ := core.FindRMTCutCtx(context.Background(), in)
 				if found == want {
-					t.Fatalf("FindRMTCut found=%v contradicts solvable=%v (cut %v)", found, want, cut)
+					t.Fatalf("FindRMTCutCtx found=%v contradicts solvable=%v (cut %v)", found, want, cut)
 				}
 				if found {
 					if err := core.VerifyRMTCut(in, cut); err != nil {
@@ -89,9 +90,9 @@ func TestZppCutCharacterization(t *testing.T) {
 			if got := zcpa.Solvable(in); got != want {
 				t.Fatalf("Solvable = %v, want %v\n%s", got, want, f.Doc)
 			}
-			cut, found := zcpa.FindRMTZppCut(in)
+			cut, found, _ := zcpa.FindRMTZppCutCtx(context.Background(), in)
 			if found == want {
-				t.Fatalf("FindRMTZppCut found=%v contradicts solvable=%v (cut %v)", found, want, cut)
+				t.Fatalf("FindRMTZppCutCtx found=%v contradicts solvable=%v (cut %v)", found, want, cut)
 			}
 			if found {
 				if err := zcpa.VerifyZppCut(in, cut); err != nil {

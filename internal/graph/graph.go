@@ -115,7 +115,7 @@ func (g *Graph) ComponentAvoiding(v int, blocked nodeset.Set) nodeset.Set {
 		frontier = frontier[:len(frontier)-1]
 		g.adj[u].ForEach(func(w int) bool {
 			if !visited.Contains(w) && !blocked.Contains(w) {
-				visited = visited.Add(w)
+				visited.MutateAdd(w)
 				frontier = append(frontier, w)
 			}
 			return true
@@ -324,7 +324,7 @@ func (g *Graph) ComponentOf(v int) nodeset.Set {
 		frontier = frontier[:len(frontier)-1]
 		g.adj[u].ForEach(func(w int) bool {
 			if !visited.Contains(w) {
-				visited = visited.Add(w)
+				visited.MutateAdd(w)
 				frontier = append(frontier, w)
 			}
 			return true

@@ -41,6 +41,7 @@ import (
 	"rmt/internal/byzantine"
 	"rmt/internal/cliutil"
 	"rmt/internal/core"
+	"rmt/internal/cut"
 	"rmt/internal/eval"
 	"rmt/internal/feasibility"
 	"rmt/internal/gen"
@@ -619,34 +620,30 @@ func (s *Server) handleFeasibility(w http.ResponseWriter, r *http.Request) {
 			resp.MBRB = &MBRBVerdict{N: mv.N, T: mv.T, D: mv.D, Feasible: mv.Feasible}
 		}
 		resp.SMT = smtVerdictOf(in, listen)
-		cut, found, err := core.FindRMTCutCtx(ctx, in)
+		w, found, _, err := cut.Search(ctx, in, core.Def3, 0)
 		if err != nil {
 			return nil, err
 		}
-		if found {
-			resp.PKA.Witness = witnessOf(cut.C1, cut.C2, cut.B)
-		} else {
-			resp.PKA.Solvable = true
-		}
+		resp.PKA = cutVerdict(w, found)
 		if level == gen.AdHoc {
-			v := &Verdict{}
-			zcut, zfound, err := zcpa.FindRMTZppCutCtx(ctx, in)
+			w, found, _, err := cut.Search(ctx, in, zcpa.Def7, 0)
 			if err != nil {
 				return nil, err
 			}
-			if zfound {
-				v.Witness = witnessOf(zcut.C1, zcut.C2, zcut.B)
-			} else {
-				v.Solvable = true
-			}
-			resp.ZCPA = v
+			v := cutVerdict(w, found)
+			resp.ZCPA = &v
 		}
 		return marshalBody(resp)
 	})
 }
 
-func witnessOf(c1, c2, b nodeset.Set) *CutWitness {
-	return &CutWitness{C1: members(c1), C2: members(c2), B: members(b)}
+// cutVerdict renders a cut search's outcome: solvable when no witness
+// exists, else the witness.
+func cutVerdict(w cut.Witness, found bool) Verdict {
+	if !found {
+		return Verdict{Solvable: true}
+	}
+	return Verdict{Witness: &CutWitness{C1: members(w.C1), C2: members(w.C2), B: members(w.B)}}
 }
 
 // smtVerdictOf evaluates the Dowden cut conditions under the requested

@@ -11,6 +11,7 @@ import (
 	"net/http"
 
 	"rmt/internal/core"
+	"rmt/internal/cut"
 	"rmt/internal/gen"
 	"rmt/internal/instance"
 	"rmt/internal/nodeset"
@@ -170,27 +171,16 @@ func (s *Server) watchVerdict(ctx context.Context, cur *instance.Instance, level
 	}
 	body, err := s.poolCompute(ctx, func(ctx context.Context) ([]byte, error) {
 		ev := &WatchEvent{Rev: rev, Key: key, Knowledge: level.String()}
-		cut, found, err := incR.CheckCtx(ctx, cur)
-		if err != nil {
+		var err error
+		if ev.PKA, err = checkVerdict(ctx, incR, cur); err != nil {
 			return nil, err
 		}
-		if found {
-			ev.PKA.Witness = witnessOf(cut.C1, cut.C2, cut.B)
-		} else {
-			ev.PKA.Solvable = true
-		}
 		if incZ != nil {
-			v := &Verdict{}
-			zcut, zfound, err := incZ.CheckCtx(ctx, cur)
+			v, err := checkVerdict(ctx, incZ, cur)
 			if err != nil {
 				return nil, err
 			}
-			if zfound {
-				v.Witness = witnessOf(zcut.C1, zcut.C2, zcut.B)
-			} else {
-				v.Solvable = true
-			}
-			ev.ZCPA = v
+			ev.ZCPA = &v
 		}
 		return marshalBody(ev)
 	})
@@ -240,30 +230,35 @@ func (s *Server) poolCompute(parent context.Context, fn func(ctx context.Context
 	}
 }
 
+// checkVerdict advances an incremental checker by one revision and
+// renders its verdict.
+func checkVerdict[W cut.Shape](ctx context.Context, inc *cut.Incremental[W], cur *instance.Instance) (Verdict, error) {
+	w, found, err := inc.CheckCtx(ctx, cur)
+	return cutVerdict(cut.Witness(w), found), err
+}
+
 // seedCheckers primes the incremental checkers with a revision verdict that
 // was served from a cache rather than computed, so the next delta can be
-// answered by witness repair. Cached witnesses are re-verified before
+// answered by witness repair.
+func seedCheckers(cur *instance.Instance, ev *WatchEvent, incR *core.IncrementalCut, incZ *zcpa.IncrementalCut) {
+	seedChecker(incR, cur, &ev.PKA)
+	if incZ != nil && ev.ZCPA != nil {
+		seedChecker(incZ, cur, ev.ZCPA)
+	}
+}
+
+// seedChecker primes one checker. Cached witnesses are re-verified before
 // seeding — a body is cache-authentic but the checker contract trusts
 // seeds, so the boundary verifies.
-func seedCheckers(cur *instance.Instance, ev *WatchEvent, incR *core.IncrementalCut, incZ *zcpa.IncrementalCut) {
-	if wv := ev.PKA.Witness; wv != nil {
-		cut := core.RMTCut{C1: nodeset.Of(wv.C1...), C2: nodeset.Of(wv.C2...), B: nodeset.Of(wv.B...)}
-		if core.VerifyRMTCut(cur, cut) == nil {
-			incR.Seed(cut, true)
+func seedChecker[W cut.Shape](inc *cut.Incremental[W], cur *instance.Instance, v *Verdict) {
+	var zero W
+	if wv := v.Witness; wv != nil {
+		w := cut.Witness{C1: nodeset.Of(wv.C1...), C2: nodeset.Of(wv.C2...), B: nodeset.Of(wv.B...)}
+		if cut.Verify(cur, zero.Predicate(), w) == nil {
+			inc.Seed(W(w), true)
 		}
-	} else if ev.PKA.Solvable {
-		incR.Seed(core.RMTCut{}, false)
-	}
-	if incZ == nil || ev.ZCPA == nil {
-		return
-	}
-	if wv := ev.ZCPA.Witness; wv != nil {
-		cut := zcpa.ZppCut{C1: nodeset.Of(wv.C1...), C2: nodeset.Of(wv.C2...), B: nodeset.Of(wv.B...)}
-		if zcpa.VerifyZppCut(cur, cut) == nil {
-			incZ.Seed(cut, true)
-		}
-	} else if ev.ZCPA.Solvable {
-		incZ.Seed(zcpa.ZppCut{}, false)
+	} else if v.Solvable {
+		inc.Seed(zero, false)
 	}
 }
 

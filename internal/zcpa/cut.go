@@ -2,8 +2,10 @@ package zcpa
 
 import (
 	"context"
+	"encoding/binary"
 	"fmt"
 
+	"rmt/internal/cut"
 	"rmt/internal/instance"
 	"rmt/internal/nodeset"
 )
@@ -12,10 +14,7 @@ import (
 // separating D from R where C1 ∈ 𝒵 and every node u on the receiver side B
 // has N(u) ∩ C2 ∈ Z_u. Its existence is exactly the impossibility condition
 // for ad hoc RMT (Theorems 7 and 8).
-type ZppCut struct {
-	C1, C2 nodeset.Set
-	B      nodeset.Set // the receiver-side component used as witness
-}
+type ZppCut cut.Witness
 
 // Cut returns C1 ∪ C2.
 func (c ZppCut) Cut() nodeset.Set { return c.C1.Union(c.C2) }
@@ -24,104 +23,51 @@ func (c ZppCut) String() string {
 	return fmt.Sprintf("ZppCut(C1=%v, C2=%v, B=%v)", c.C1, c.C2, c.B)
 }
 
-// FindRMTZppCut searches for an RMT 𝒵-pp cut in the instance, returning a
-// witness if one exists.
-//
-// The search enumerates connected receiver-side candidates B (with
-// C = N(B), the least cut realizing that side; the cut predicate is
-// monotone-decreasing in C2, and shrinking B only drops ∀u∈B constraints,
-// so restricting to component-shaped B with minimal boundary is complete —
-// see DESIGN.md §4). For each candidate, C1 is best chosen as C ∩ M for a
-// maximal M ∈ 𝒵.
-//
-// The enumeration is exponential in |V| in the worst case, as expected for
-// a tight characterization of an NP-hard-style cut condition; instances in
-// this repository keep it small.
-func FindRMTZppCut(in *instance.Instance) (ZppCut, bool) {
-	cut, found, _ := FindRMTZppCutBounded(in, 0)
-	return cut, found
+// Predicate returns Def7, so cut.Incremental can decide 𝒵-pp cuts.
+func (ZppCut) Predicate() cut.Predicate { return Def7 }
+
+// Def7 is Definition 7 as a cut.Predicate: ∀u ∈ B, N(u) ∩ C2 ∈ Z_u.
+var Def7 = cut.Predicate{
+	Name: "∀u ∈ B: N(u) ∩ C2 ∈ Z_u",
+	New: func(in *instance.Instance) cut.Test {
+		return &localTest{in: in, memo: make(map[string]bool)}
+	},
 }
 
-// FindRMTZppCutBounded is FindRMTZppCut with a search budget: at most
-// maxCandidates receiver-side candidates are inspected (0 = unlimited).
-// complete reports full coverage of the search space; a found witness is
-// always genuine (VerifyZppCut accepts it).
-func FindRMTZppCutBounded(in *instance.Instance, maxCandidates int) (witness ZppCut, found, complete bool) {
-	witness, found, complete, _ = findRMTZppCut(context.Background(), in, maxCandidates)
-	return witness, found, complete
+// localTest checks the per-node condition. Candidates share most of their
+// (u, N(u) ∩ C2) pairs with their parents in the enumeration, so the
+// per-node verdicts are memoized for the whole search, keyed by node and
+// intersection; key is the reused lookup buffer.
+type localTest struct {
+	in   *instance.Instance
+	b    nodeset.Set
+	memo map[string]bool
+	key  []byte
 }
 
-// FindRMTZppCutCtx is FindRMTZppCut under a context: the enumeration polls
-// ctx.Err() once per receiver-side candidate and aborts with the context's
-// error, so a caller-imposed deadline or cancellation stops the
-// (worst-case exponential) search promptly instead of letting it run to
-// completion. A found witness is always genuine.
-func FindRMTZppCutCtx(ctx context.Context, in *instance.Instance) (ZppCut, bool, error) {
-	witness, found, _, err := findRMTZppCut(ctx, in, 0)
-	return witness, found, err
-}
+func (t *localTest) Side(b nodeset.Set) { t.b = b }
 
-func findRMTZppCut(ctx context.Context, in *instance.Instance, maxCandidates int) (witness ZppCut, found, complete bool, err error) {
-	// Disconnected dealer/receiver: the empty cut is an RMT 𝒵-pp cut.
-	if !in.G.Connected(in.Dealer, in.Receiver) {
-		return ZppCut{
-			C1: nodeset.Empty(),
-			C2: nodeset.Empty(),
-			B:  in.G.ComponentOf(in.Receiver),
-		}, true, true, nil
-	}
-	inspected := 0
-	complete = true
-	memo := make(map[int]map[string]bool)
-	in.G.ReceiverSideCandidates(in.Dealer, in.Receiver, func(b, cut nodeset.Set) bool {
-		if err = ctx.Err(); err != nil {
-			complete = false
-			return false
-		}
-		if maxCandidates > 0 && inspected >= maxCandidates {
-			complete = false
-			return false
-		}
-		inspected++
-		for _, m := range in.Z.Maximal() {
-			c2 := cut.Minus(m)
-			if holdsForAll(in, b, c2, memo) {
-				witness = ZppCut{C1: cut.Intersect(m), C2: c2, B: b}
-				found = true
-				return false
-			}
-		}
-		return true
-	})
-	return witness, found, complete, err
-}
-
-// holdsForAll checks ∀u ∈ B: N(u) ∩ C2 ∈ Z_u. Candidates share most of
-// their (u, N(u) ∩ C2) pairs with their parents in the enumeration, so the
-// per-node membership verdicts are memoized for the duration of one search,
-// keyed by node and intersection.
-func holdsForAll(in *instance.Instance, b, c2 nodeset.Set, memo map[int]map[string]bool) bool {
+func (t *localTest) Holds(c2 nodeset.Set) bool {
 	ok := true
-	b.ForEach(func(u int) bool {
-		part := in.G.Neighbors(u).Intersect(c2)
-		byPart := memo[u]
-		if byPart == nil {
-			byPart = make(map[string]bool)
-			memo[u] = byPart
-		}
-		k := part.Key()
-		res, seen := byPart[k]
+	t.b.ForEach(func(u int) bool {
+		part := t.in.G.Neighbors(u).Intersect(c2)
+		t.key = part.AppendKey(binary.AppendUvarint(t.key[:0], uint64(u)))
+		res, seen := t.memo[string(t.key)]
 		if !seen {
-			res = in.LocalStructure(u).Contains(part)
-			byPart[k] = res
+			res = t.in.LocalStructure(u).Contains(part)
+			t.memo[string(t.key)] = res
 		}
-		if !res {
-			ok = false
-			return false
-		}
-		return true
+		ok = res
+		return ok
 	})
 	return ok
+}
+
+// FindRMTZppCutCtx searches the instance for an RMT 𝒵-pp cut (cut.Search
+// under Def7), polling ctx once per receiver-side candidate.
+func FindRMTZppCutCtx(ctx context.Context, in *instance.Instance) (ZppCut, bool, error) {
+	w, found, _, err := cut.Search(ctx, in, Def7, 0)
+	return ZppCut(w), found, err
 }
 
 // Solvable reports whether ad hoc RMT is solvable on the instance, by the
@@ -129,6 +75,19 @@ func holdsForAll(in *instance.Instance, b, c2 nodeset.Set, memo map[int]map[stri
 // exactly when 𝒵-CPA succeeds, which Resilient verifies operationally; the
 // two must always agree, and the test suite asserts they do.
 func Solvable(in *instance.Instance) bool {
-	_, found := FindRMTZppCut(in)
+	_, found, _, _ := cut.Search(context.Background(), in, Def7, 0)
 	return !found
 }
+
+// VerifyZppCut checks that a claimed RMT 𝒵-pp cut witness satisfies
+// Definition 7 on the instance (cut.Verify under Def7).
+func VerifyZppCut(in *instance.Instance, c ZppCut) error {
+	return cut.Verify(in, Def7, cut.Witness(c))
+}
+
+// IncrementalCut maintains an RMT 𝒵-pp cut verdict across instance
+// revisions by witness repair; see cut.Incremental.
+type IncrementalCut = cut.Incremental[ZppCut]
+
+// NewIncrementalCut returns an empty checker; the first check runs fresh.
+func NewIncrementalCut() *IncrementalCut { return &IncrementalCut{} }

@@ -1,6 +1,7 @@
 package zcpa
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -12,7 +13,7 @@ import (
 
 func TestVerifyZppCutAcceptsFound(t *testing.T) {
 	in := weakDiamond(t)
-	cut, found := FindRMTZppCut(in)
+	cut, found := findZppCut(in)
 	if !found {
 		t.Fatal("no cut")
 	}
@@ -23,7 +24,7 @@ func TestVerifyZppCutAcceptsFound(t *testing.T) {
 
 func TestVerifyZppCutRejectsForgeries(t *testing.T) {
 	in := weakDiamond(t)
-	good, _ := FindRMTZppCut(in)
+	good, _ := findZppCut(in)
 	forgeries := []struct {
 		name string
 		cut  ZppCut
@@ -68,7 +69,7 @@ func TestVerifyZppCutAllFoundRandom(t *testing.T) {
 		if err != nil {
 			continue
 		}
-		cut, found := FindRMTZppCut(in)
+		cut, found := findZppCut(in)
 		if !found {
 			continue
 		}
@@ -82,23 +83,8 @@ func TestVerifyZppCutAllFoundRandom(t *testing.T) {
 	}
 }
 
-func TestFindRMTZppCutBounded(t *testing.T) {
-	in := weakDiamond(t)
-	cut, found, complete := FindRMTZppCutBounded(in, 0)
-	if !found || !complete {
-		t.Fatalf("unbounded: found=%v complete=%v", found, complete)
-	}
-	if err := VerifyZppCut(in, cut); err != nil {
-		t.Fatal(err)
-	}
-	// A line has multiple receiver-side candidates, so budget 1 must
-	// report an incomplete search on a solvable line.
-	solvable := mustInstance(t, "0-1 1-2 2-3 3-4", adversary.Trivial(), 0, 4)
-	if _, found, complete := FindRMTZppCutBounded(solvable, 1); found || complete {
-		t.Fatalf("budget 1 on solvable line: found=%v complete=%v", found, complete)
-	}
-	// The triple path has exactly one candidate: budget 1 is complete.
-	if _, found, complete := FindRMTZppCutBounded(triplePath(t), 1); found || !complete {
-		t.Fatalf("triple path budget 1: found=%v complete=%v", found, complete)
-	}
+// findZppCut is the search under a background context, for tests.
+func findZppCut(in *instance.Instance) (ZppCut, bool) {
+	w, found, _ := FindRMTZppCutCtx(context.Background(), in)
+	return w, found
 }

@@ -155,7 +155,7 @@ func TestWeakDiamondNotResilient(t *testing.T) {
 
 func TestZppCutOnWeakDiamond(t *testing.T) {
 	in := weakDiamond(t)
-	cut, found := FindRMTZppCut(in)
+	cut, found := findZppCut(in)
 	if !found {
 		t.Fatal("no RMT Z-pp cut found on the weak diamond")
 	}
@@ -172,7 +172,7 @@ func TestZppCutOnWeakDiamond(t *testing.T) {
 
 func TestNoZppCutOnTriplePath(t *testing.T) {
 	in := triplePath(t)
-	if cut, found := FindRMTZppCut(in); found {
+	if cut, found := findZppCut(in); found {
 		t.Fatalf("unexpected cut %v", cut)
 	}
 	if !Solvable(in) {
@@ -182,7 +182,7 @@ func TestNoZppCutOnTriplePath(t *testing.T) {
 
 func TestDisconnectedIsTrivialCut(t *testing.T) {
 	in := mustInstance(t, "0-1 2-3", adversary.Trivial(), 0, 3)
-	cut, found := FindRMTZppCut(in)
+	cut, found := findZppCut(in)
 	if !found {
 		t.Fatal("disconnected instance has no cut?")
 	}
@@ -195,7 +195,7 @@ func TestAdjacentDealerReceiverAlwaysSolvable(t *testing.T) {
 	// Even a structure corrupting all relays cannot cut an edge D-R.
 	in := mustInstance(t, "0-3 0-1 1-3 0-2 2-3",
 		adversary.FromSlices([]int{1, 2}), 0, 3)
-	if _, found := FindRMTZppCut(in); found {
+	if _, found := findZppCut(in); found {
 		t.Fatal("found a cut despite D-R edge")
 	}
 	ok, err := Resilient(in)

@@ -39,11 +39,13 @@
 package rmt
 
 import (
+	"context"
 	"io"
 
 	"rmt/internal/adversary"
 	"rmt/internal/byzantine"
 	"rmt/internal/core"
+	"rmt/internal/cut"
 	"rmt/internal/graph"
 	"rmt/internal/instance"
 	_ "rmt/internal/mbrb" // registers the "mbrb" protocol
@@ -320,10 +322,16 @@ func SolvablePKA(in *Instance) bool { return core.Solvable(in) }
 func SolvableZCPA(in *Instance) bool { return zcpa.Solvable(in) }
 
 // FindRMTCut searches for a Definition-3 RMT-cut witness.
-func FindRMTCut(in *Instance) (RMTCut, bool) { return core.FindRMTCut(in) }
+func FindRMTCut(in *Instance) (RMTCut, bool) {
+	w, found, _ := FindRMTCutBounded(in, 0)
+	return w, found
+}
 
 // FindZppCut searches for a Definition-7 RMT 𝒵-pp cut witness.
-func FindZppCut(in *Instance) (ZppCut, bool) { return zcpa.FindRMTZppCut(in) }
+func FindZppCut(in *Instance) (ZppCut, bool) {
+	w, found, _ := FindZppCutBounded(in, 0)
+	return w, found
+}
 
 // ApplyDelta applies a topology delta to an instance, rebuilding the view
 // function from the edited graph with rebuildView (callers holding a
@@ -352,13 +360,15 @@ func VerifyZppCut(in *Instance, cut ZppCut) error { return zcpa.VerifyZppCut(in,
 // most maxCandidates receiver-side candidates (0 = unlimited) and
 // additionally reports whether the search space was fully covered. Found
 // witnesses are always genuine.
-func FindRMTCutBounded(in *Instance, maxCandidates int) (cut RMTCut, found, complete bool) {
-	return core.FindRMTCutBounded(in, maxCandidates)
+func FindRMTCutBounded(in *Instance, maxCandidates int) (w RMTCut, found, complete bool) {
+	c, found, complete, _ := cut.Search(context.Background(), in, core.Def3, maxCandidates)
+	return RMTCut(c), found, complete
 }
 
 // FindZppCutBounded is the anytime variant of FindZppCut.
-func FindZppCutBounded(in *Instance, maxCandidates int) (cut ZppCut, found, complete bool) {
-	return zcpa.FindRMTZppCutBounded(in, maxCandidates)
+func FindZppCutBounded(in *Instance, maxCandidates int) (w ZppCut, found, complete bool) {
+	c, found, complete, _ := cut.Search(context.Background(), in, zcpa.Def7, maxCandidates)
+	return ZppCut(c), found, complete
 }
 
 // ResilientPKA verifies operationally that RMT-PKA delivers against every
