@@ -6,17 +6,21 @@ GO ?= go
 .PHONY: tier1 benchbuild test race bench benchjson benchguard benchsnap allocguard vet attacksweep schedfuzz mafuzz churnfuzz smtfuzz fuzzsmoke cover loadtest daemonsmoke fleetsmoke watchsmoke
 
 # tier1 is the gate every PR must keep green: build + full test suite +
-# vet + race detector on the packages that spawn goroutines or share state
-# across them (the lockstep/goroutine network engines, the parallel
-# experiment harness, the protocol registry, the Byzantine strategy
-# library, the attack sweep that fans trials out across workers, the wire
-# engine's coordinator/child plumbing, and the sharded query daemon), then
-# vet of the nested rmtdbench module (benchbuild).
+# vet + a gofmt check (any file `gofmt -l` lists fails the gate) + race
+# detector on the packages that spawn goroutines or share state across
+# them (the network engines' pooled run state, RMT-PKA's shared warm store
+# under concurrent runs, the parallel experiment harness, the protocol
+# registry, the Byzantine strategy library, the attack sweep that fans
+# trials out across workers, the wire engine's coordinator/child plumbing,
+# and the sharded query daemon), then vet of the nested rmtdbench module
+# (benchbuild).
 tier1:
 	$(GO) build ./...
 	$(GO) test ./...
 	$(GO) vet ./...
-	$(GO) test -race ./internal/network/ ./internal/eval/ ./internal/protocol/ ./internal/byzantine/ ./internal/attack/ ./internal/server/ ./internal/wire/ ./internal/feasibility/ ./internal/mbrb/ ./internal/smt/
+	@unformatted=$$(gofmt -l .); \
+	if [ -n "$$unformatted" ]; then echo "gofmt needed on:"; echo "$$unformatted"; exit 1; fi
+	$(GO) test -race ./internal/network/ ./internal/core/ ./internal/eval/ ./internal/protocol/ ./internal/byzantine/ ./internal/attack/ ./internal/server/ ./internal/wire/ ./internal/feasibility/ ./internal/mbrb/ ./internal/smt/
 	$(MAKE) --no-print-directory benchbuild
 
 # The rmtd benchmark under rmtdbench/ is a nested module, so `go build ./...`
@@ -62,8 +66,8 @@ benchsnap:
 	$(GO) run ./cmd/rmtbench -benchjson BENCH_$(PR).json
 
 # Randomized Theorem-4 safety fuzzer: 200 seeded trials across every
-# registered protocol × every registered Byzantine strategy × both
-# engines, with a gullible canary proving the oracle can fail. Attack
+# registered protocol × every registered Byzantine strategy on lockstep,
+# with a gullible canary proving the oracle can fail. Attack
 # traces stream as JSONL to attack-traces.jsonl.
 attacksweep:
 	$(GO) run ./cmd/rmtattack -trials 200 -seed 1 -out attack-traces.jsonl

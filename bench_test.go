@@ -163,17 +163,6 @@ func benchInstance(b *testing.B, hops int, level gen.Knowledge) *Instance {
 	return in
 }
 
-func BenchmarkPKARunGoroutineEngine(b *testing.B) {
-	in := benchInstance(b, 1, gen.AdHoc)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := RunPKA(in, "x", nil, PKAOptions{Engine: Goroutine}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkPKAUnderSilentAttack(b *testing.B) {
 	in := benchInstance(b, 1, gen.AdHoc)
 	b.ReportAllocs()

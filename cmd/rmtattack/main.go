@@ -1,15 +1,15 @@
 // Command rmtattack runs the randomized Theorem-4 safety sweep: seeded
 // trials sampling instances and admissible corruption sets, throwing every
-// registered Byzantine strategy at every registered protocol on both
-// engines, and asserting that no honest node ever decides a value other
+// registered Byzantine strategy at every registered protocol on the
+// selected engines (lockstep by default), and asserting that no honest node ever decides a value other
 // than x_D. A deliberately gullible canary decision rule is attacked in
 // the same battery to prove the oracle has teeth.
 //
 // With -schedules, every (instance, protocol, strategy) cell additionally
 // runs under the async engine with each named seeded delivery schedule
 // (delay, reorder, partition-then-heal), asserting the same oracle on every
-// schedule and transcript agreement between the zero-fault schedule and the
-// synchronous engines.
+// schedule and transcript agreement between the zero-fault schedule and
+// lockstep.
 //
 // With -mabudgets, every cell is additionally crossed with a message
 // adversary: for each budget d, one lockstep run per stock suppression
@@ -54,7 +54,7 @@ func run(args []string, out io.Writer) error {
 		workers    = fs.Int("workers", 0, "parallel workers (<=0 = GOMAXPROCS)")
 		protocols  = fs.String("protocols", "", "comma-separated protocol subset (default: all registered)")
 		strategies = fs.String("strategies", "", "comma-separated strategy subset (default: all registered)")
-		engines    = fs.String("engines", "", "comma-separated engines: lockstep,goroutine,async (default: lockstep+goroutine)")
+		engines    = fs.String("engines", "", "comma-separated engines: lockstep,async (default: lockstep)")
 		schedules  = fs.String("schedules", "", "comma-separated async schedules to cross in (or \"all\"); each adds a seeded async run per cell")
 		mabudgets  = fs.String("mabudgets", "", "comma-separated message-adversary suppression budgets; each crosses every cell with the stock suppression policies")
 		maxRounds  = fs.Int("maxrounds", 0, "round cap per run (0 = default)")

@@ -66,7 +66,7 @@ func run(args []string, out io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return usageError{err}
 	}
-	eng, err := network.EngineByName(*engine)
+	eng, err := network.ParseEngine(*engine)
 	if err != nil {
 		return usageError{err}
 	}

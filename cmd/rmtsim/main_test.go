@@ -76,20 +76,6 @@ func TestRunEveryProtocolAndAttack(t *testing.T) {
 	}
 }
 
-func TestRunGoroutineEngine(t *testing.T) {
-	var sb strings.Builder
-	err := run([]string{
-		"-graph", tripleGraph, "-structure", "", "-receiver", "4",
-		"-protocol", "zcpa", "-engine", "goroutine",
-	}, &sb)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(sb.String(), "CORRECT") {
-		t.Fatalf("output:\n%s", sb.String())
-	}
-}
-
 func TestRunSMTListening(t *testing.T) {
 	var sb strings.Builder
 	err := run([]string{

@@ -265,7 +265,7 @@ func TestGoldenTranscripts(t *testing.T) {
 			if err != nil {
 				t.Fatalf("missing golden transcript (run with -update to create): %v", err)
 			}
-			for _, engine := range []Engine{Lockstep, Goroutine, Async} {
+			for _, engine := range []Engine{Lockstep, Async} {
 				got := transcriptJSONL(t, gc, engine)
 				if !bytes.Equal(got, want) {
 					t.Errorf("%v transcript differs from %s:\n%s", engine, path, diffLine(want, got))

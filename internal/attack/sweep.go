@@ -59,7 +59,8 @@ type Config struct {
 	Protocols []string
 	// Strategies to exercise (nil = every registered strategy).
 	Strategies []string
-	// Engines to exercise (nil = lockstep and goroutine).
+	// Engines to exercise (nil = lockstep). With more than one, every
+	// admissible run must also agree across them.
 	Engines []network.Engine
 	// Schedules are async delivery schedules to cross with every
 	// (instance, protocol, strategy) cell: each named schedule adds one run
@@ -104,7 +105,7 @@ func (c Config) engines() []network.Engine {
 	if len(c.Engines) > 0 {
 		return c.Engines
 	}
-	return []network.Engine{network.Lockstep, network.Goroutine}
+	return []network.Engine{network.Lockstep}
 }
 
 func (c Config) maxRounds() int {
@@ -610,7 +611,7 @@ func runTrial(cfg Config, trial int, rng *rand.Rand) trialResult {
 					if len(viols) > 0 {
 						tr.traces = append(tr.traces, traceRequest{
 							sample: smp, protocol: protoName, strategy: stratName,
-							corrupt: smp.corrupt,
+							corrupt:  smp.corrupt,
 							maPolicy: maName, maBudget: budget, maSeed: maSeed,
 						})
 					}
@@ -842,8 +843,7 @@ func traceRun(cfg Config, req traceRequest) error {
 	return tracer.Err()
 }
 
-// ParseEngines parses a comma-separated engine list
-// ("lockstep,goroutine,async"). A bare "async" engine runs under the
+// ParseEngines parses a comma-separated engine list ("lockstep,async"). A bare "async" engine runs under the
 // zero-fault schedule; use Config.Schedules for adversarial schedules.
 func ParseEngines(s string) ([]network.Engine, error) {
 	if s == "" {

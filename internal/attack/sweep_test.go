@@ -23,7 +23,7 @@ func TestSweepHoldsTheoremFourSafety(t *testing.T) {
 	if rep.Skipped == 0 {
 		t.Fatal("no cells skipped: smt should reject samples whose ground covers every path")
 	}
-	wantRuns := (12*len(protocol.Names()) - rep.Skipped) * len(byzantine.Names()) * 2
+	wantRuns := (12*len(protocol.Names()) - rep.Skipped) * len(byzantine.Names()) * len(Config{}.engines())
 	if rep.Runs != wantRuns {
 		t.Fatalf("runs = %d, want %d (unskipped cells × strategies × engines)", rep.Runs, wantRuns)
 	}
@@ -125,8 +125,8 @@ func TestReportErrRequiresTeeth(t *testing.T) {
 }
 
 func TestParseEngines(t *testing.T) {
-	got, err := ParseEngines("lockstep,goroutine,async")
-	if err != nil || len(got) != 3 || got[0] != network.Lockstep || got[1] != network.Goroutine || got[2] != network.Async {
+	got, err := ParseEngines("lockstep,async")
+	if err != nil || len(got) != 2 || got[0] != network.Lockstep || got[1] != network.Async {
 		t.Fatalf("ParseEngines = %v, %v", got, err)
 	}
 	if _, err := ParseEngines("warp"); err == nil {
@@ -338,16 +338,15 @@ func TestSweepSchedulesDeterministic(t *testing.T) {
 	}
 }
 
-// TestSweepGoroutineEngineUnderRace exercises the goroutine engine through
-// the full attack matrix with a parallel worker pool; `go test -race` on
-// this package makes it a data-race detector for the strategies, which
-// must not share state across runs.
-func TestSweepGoroutineEngineUnderRace(t *testing.T) {
+// TestSweepParallelWorkersUnderRace runs the full attack matrix on the
+// default engines with a parallel worker pool; `go test -race` on this
+// package makes it a data-race detector for the strategies, which must not
+// share state across parallel trials.
+func TestSweepParallelWorkersUnderRace(t *testing.T) {
 	rep, err := Sweep(Config{
 		Seed:    3,
 		Trials:  4,
 		Workers: 4,
-		Engines: []network.Engine{network.Goroutine},
 	})
 	if err != nil {
 		t.Fatal(err)

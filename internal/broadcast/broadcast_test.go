@@ -179,13 +179,13 @@ func TestBroadcastEqualsAllReceiversRMT(t *testing.T) {
 	}
 }
 
-func TestGoroutineEngineBroadcast(t *testing.T) {
+func TestAsyncEngineBroadcast(t *testing.T) {
 	in := mustInstance(t, "0-1 0-2 1-2 1-3 2-3", adversary.FromSlices([]int{1}), 0)
 	a, err := Run(in, "x", byzantine.SilentProcesses(nodeset.Of(1)), network.Lockstep)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Run(in, "x", byzantine.SilentProcesses(nodeset.Of(1)), network.Goroutine)
+	b, err := Run(in, "x", byzantine.SilentProcesses(nodeset.Of(1)), network.Async)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -25,8 +25,7 @@ const (
 // ListenLog is the recorded view of one listening coalition: every payload
 // delivered to any of its members, in a canonical order. The privacy oracle
 // compares logs across paired secret runs, so the rendering must be a pure
-// function of what was heard. Safe for concurrent use (the goroutine engine
-// delivers to members in parallel).
+// function of what was heard. Safe for concurrent use.
 type ListenLog struct {
 	mu     sync.Mutex
 	keys   []string

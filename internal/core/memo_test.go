@@ -30,13 +30,12 @@ func requireSameRun(t *testing.T, label string, in *instance.Instance, memo, fre
 
 // memoEngines is the engine axis of the differential sweep. Async runs
 // under the zero-fault SyncScheduler, which must be round-identical to
-// lockstep; goroutine must be identical by the merge-in-ID-order argument.
+// lockstep.
 var memoEngines = []struct {
 	name   string
 	engine network.Engine
 }{
 	{"lockstep", network.Lockstep},
-	{"goroutine", network.Goroutine},
 	{"async", network.Async},
 }
 

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"reflect"
+	"sync"
 	"testing"
 
 	"rmt/internal/adversary"
@@ -259,21 +261,75 @@ func TestStructureLiarCannotStallSolvable(t *testing.T) {
 	}
 }
 
-func TestGoroutineEngineAgrees(t *testing.T) {
-	in := triplePath(t)
-	for _, c := range []int{1, 2, 3} {
-		a, err := Run(in, "x", protocol.Silence(nodeset.Of(c)), Options{})
-		if err != nil {
-			t.Fatal(err)
+// TestConcurrentRunsMatchLockstep runs RMT-PKA from several goroutines at
+// once on one instance — honest, and under every strategy of the package's
+// zoo — as rmtd's parallel trials do. All runs share the instance's warm
+// store (pkaShared) and start with it cold, so under -race this is the
+// data-race check on its locks. Each result must equal a sequential
+// lockstep run on a separately built copy of the instance.
+func TestConcurrentRunsMatchLockstep(t *testing.T) {
+	const copies = 4
+	fixtures := []struct {
+		name  string
+		level gen.Knowledge
+	}{
+		{feasibility.TriplePath, gen.AdHoc},
+		// Unsolvable ad hoc, solvable at radius 2: a deciding run whose
+		// receiver fills the path intern table.
+		{feasibility.Chimera, gen.Radius2},
+	}
+	for _, fx := range fixtures {
+		shared := feasibility.MustByName(fx.name).MustBuild(fx.level)
+		seq := feasibility.MustByName(fx.name).MustBuild(fx.level)
+		m := shared.MaximalCorruptions()[0]
+		names := []string{"honest"}
+		for name := range Strategies(shared, m, "forged") {
+			names = append(names, name)
 		}
-		b, err := Run(in, "x", protocol.Silence(nodeset.Of(c)), Options{Engine: network.Goroutine})
-		if err != nil {
-			t.Fatal(err)
+		// Strategy processes are stateful: every run gets a fresh zoo.
+		corrupt := func(in *instance.Instance, name string) map[int]network.Process {
+			if name == "honest" {
+				return nil
+			}
+			return Strategies(in, m, "forged")[name]
 		}
-		av, aok := a.DecisionOf(4)
-		bv, bok := b.DecisionOf(4)
-		if av != bv || aok != bok {
-			t.Fatalf("engines disagree: %q/%v vs %q/%v", av, aok, bv, bok)
+		opts := Options{RecordTranscript: true}
+
+		want := make(map[string]*network.Result, len(names))
+		for _, name := range names {
+			res, err := Run(seq, "real", corrupt(seq, name), opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want[name] = res
+		}
+
+		got := make([]*network.Result, len(names)*copies)
+		errs := make([]error, len(got))
+		var wg sync.WaitGroup
+		for i := range got {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				got[i], errs[i] = Run(shared, "real", corrupt(shared, names[i%len(names)]), opts)
+			}()
+		}
+		wg.Wait()
+
+		for i, res := range got {
+			name := names[i%len(names)]
+			if errs[i] != nil {
+				t.Fatalf("%s/%s: %v", fx.name, name, errs[i])
+			}
+			w := want[name]
+			if !reflect.DeepEqual(res.Decisions, w.Decisions) || res.Rounds != w.Rounds ||
+				!reflect.DeepEqual(res.Metrics, w.Metrics) {
+				t.Errorf("%s/%s: concurrent run (decisions %v, %d rounds, %+v) != sequential (decisions %v, %d rounds, %+v)",
+					fx.name, name, res.Decisions, res.Rounds, res.Metrics, w.Decisions, w.Rounds, w.Metrics)
+			}
+			if res.Transcript.Key() != w.Transcript.Key() {
+				t.Errorf("%s/%s: concurrent transcript differs from the sequential run", fx.name, name)
+			}
 		}
 	}
 }

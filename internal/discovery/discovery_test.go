@@ -214,13 +214,13 @@ func TestDiscoveryCompletenessRandom(t *testing.T) {
 	}
 }
 
-func TestGoroutineEngineDiscovery(t *testing.T) {
+func TestAsyncEngineDiscovery(t *testing.T) {
 	g := gen.Ring(5)
 	a, err := Run(g, adversary.Trivial(), view.AdHoc(g), 0, nil, network.Lockstep)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Run(g, adversary.Trivial(), view.AdHoc(g), 0, nil, network.Goroutine)
+	b, err := Run(g, adversary.Trivial(), view.AdHoc(g), 0, nil, network.Async)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -24,7 +24,7 @@ type Params struct {
 	// fixed seed (see parallel.go).
 	Workers int
 	// Engine selects the execution engine for every protocol run of the
-	// suite (nil = lockstep); resolve one with network.EngineByName. For
+	// suite (nil = lockstep); resolve one with network.ParseEngine. For
 	// deterministic engines the tables are identical — that equivalence is
 	// exactly what the conformance battery asserts.
 	Engine network.Engine

@@ -31,7 +31,7 @@ func kInstance(t *testing.T, n, thr int) *instance.Instance {
 func TestHonestRunAllDeliver(t *testing.T) {
 	in := kInstance(t, 6, 1)
 	var key string
-	for _, eng := range []network.Engine{network.Lockstep, network.Goroutine, network.Async} {
+	for _, eng := range []network.Engine{network.Lockstep, network.Async} {
 		res, err := mbrb.Run(in, "x", nil, mbrb.Options{Engine: eng, MABudget: 1, RecordTranscript: true})
 		if err != nil {
 			t.Fatal(err)

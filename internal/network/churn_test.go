@@ -52,7 +52,7 @@ func churnChatterConfig(churn []ChurnEvent, maxRounds int) Config {
 // recorded as losses, later sends must be dropped at the outbox, and the
 // accounting law must still reconcile.
 func TestChurnRemovalLosesInFlight(t *testing.T) {
-	for _, engine := range []Engine{Lockstep, Goroutine, Async} {
+	for _, engine := range []Engine{Lockstep, Async} {
 		t.Run(engine.Name(), func(t *testing.T) {
 			cfg := churnChatterConfig([]ChurnEvent{{Round: 3, RemoveEdges: [][2]int{{0, 1}}}}, 6)
 			cfg.Engine = engine
@@ -86,7 +86,7 @@ func TestChurnRemovalLosesInFlight(t *testing.T) {
 // the run would stop after round 1 — and adds the 0-2 edge at round 4.
 // The chatter's next send must be accepted and decided on by node 2.
 func TestChurnAdditionRevivesSends(t *testing.T) {
-	for _, engine := range []Engine{Lockstep, Goroutine, Async} {
+	for _, engine := range []Engine{Lockstep, Async} {
 		t.Run(engine.Name(), func(t *testing.T) {
 			g := graph.New()
 			g.AddEdge(0, 1)
@@ -182,7 +182,7 @@ func TestChurnEnginesAgree(t *testing.T) {
 		decisions map[int]Value
 	}
 	results := map[string]outcome{}
-	for _, engine := range []Engine{Lockstep, Goroutine, Async} {
+	for _, engine := range []Engine{Lockstep, Async} {
 		cfg := churnChatterConfig(churn, 6)
 		cfg.Engine = engine
 		res, err := Run(cfg)

@@ -8,11 +8,11 @@ import (
 )
 
 // Engine executes one configured run. Engines register themselves by name
-// (RegisterEngine) and are resolved with EngineByName — the same pattern the
+// (RegisterEngine) and are resolved with ParseEngine — the same pattern the
 // protocol registry uses — so CLIs, the daemon and the test harness list and
-// select engines without a switch per call site. The three built-in engines
-// (lockstep, goroutine, async) live in this package; out-of-package engines
-// (e.g. the real-socket wire engine) register from their own init().
+// select engines without a switch per call site. The two built-in engines
+// (lockstep, async) live in this package; out-of-package engines (e.g. the
+// real-socket wire engine) register from their own init().
 //
 // Run must honor the full Config contract: validation, the Tracer event
 // stream, metrics reconciliation (MessagesSent = MessagesDelivered +
@@ -20,8 +20,8 @@ import (
 // normalize it before building run state so delivery semantics never depend
 // on stale fields.
 type Engine interface {
-	// Name returns the engine's registry name ("lockstep", "goroutine",
-	// "async", "wire", ...).
+	// Name returns the engine's registry name ("lockstep", "async",
+	// "wire", ...).
 	Name() string
 	// Run executes the configured run.
 	Run(cfg Config) (*Result, error)
@@ -31,17 +31,14 @@ type Engine interface {
 // only place the built-in engine names are spelled; every other layer
 // resolves through them.
 const (
-	EngineLockstep  = "lockstep"
-	EngineGoroutine = "goroutine"
-	EngineAsync     = "async"
+	EngineLockstep = "lockstep"
+	EngineAsync    = "async"
 )
 
 // Built-in engines, usable directly as Config.Engine values.
 var (
 	// Lockstep steps players in ID order in a single goroutine.
 	Lockstep Engine = lockstepEngine{}
-	// Goroutine gives every player its own goroutine with a round barrier.
-	Goroutine Engine = goroutineEngine{}
 	// Async relaxes synchronous delivery to a pluggable Scheduler.
 	Async Engine = asyncEngine{}
 )
@@ -53,7 +50,6 @@ var engineRegistry = struct {
 
 func init() {
 	RegisterEngine(Lockstep)
-	RegisterEngine(Goroutine)
 	RegisterEngine(Async)
 }
 
@@ -73,9 +69,9 @@ func RegisterEngine(e Engine) {
 	engineRegistry.m[name] = e
 }
 
-// EngineByName returns the engine registered under name; the error for an
+// ParseEngine returns the engine registered under name; the error for an
 // unknown name lists the registered engines.
-func EngineByName(name string) (Engine, error) {
+func ParseEngine(name string) (Engine, error) {
 	engineRegistry.RLock()
 	e, ok := engineRegistry.m[name]
 	engineRegistry.RUnlock()
@@ -85,10 +81,6 @@ func EngineByName(name string) (Engine, error) {
 	}
 	return e, nil
 }
-
-// ParseEngine parses an engine name against the registry. It is
-// EngineByName under the historical name every CLI already uses.
-func ParseEngine(name string) (Engine, error) { return EngineByName(name) }
 
 // EngineNames returns the registered engine names, sorted.
 func EngineNames() []string {

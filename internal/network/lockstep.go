@@ -27,20 +27,16 @@ func (e lockstepEngine) Run(cfg Config) (*Result, error) {
 func runLockstep(cfg Config) (*Result, error) {
 	st := newRunState(cfg)
 
-	// Per-player buffers and outboxes live for the whole run, Init
-	// included (recs are truncated, not reallocated, each round): the
-	// round loop is the simulator's hot path and must not allocate per
-	// player per round.
-	bufs, outboxes := st.setupBufs()
-	haltedNow := make([]bool, len(st.ids))
-
-	// Round 0: Init. Each player's sends merge immediately, as one batch
-	// per player in ID order — the same event order the round loop emits.
-	for i := range st.ids {
-		bufs[i].recs = bufs[i].recs[:0]
-		st.procs[i].Init(outboxes[i])
-		st.merge(0, &bufs[i])
+	// Round 0: Init. No player has an inbox or can halt yet, so the round
+	// is the compute-then-merge sequence below without Deliver and Halt.
+	st.sends = st.sends[:0]
+	for i, v := range st.ids {
+		st.cur = v
+		st.procs[i].Init(st.out)
+		st.ends[i] = len(st.sends)
+		st.haltedNow[i] = false
 	}
+	st.mergeRound(0)
 	st.sealRound(0)
 	st.refreshDecisions() // record Init-time decisions as round 0
 
@@ -52,27 +48,22 @@ func runLockstep(cfg Config) (*Result, error) {
 		}
 		quiescent := live == 0 && st.futureLive() == 0
 
-		// Compute phase: run every live player against its inbox, buffering
-		// sends. Merging afterwards in ID order mirrors the goroutine engine
-		// exactly, so the two emit identical tracer event sequences.
+		// Compute phase: run every live player against its inbox; its sends
+		// append to the round send slice and ends[i] marks where they stop.
+		// Merging only afterwards keeps the tracer event order fixed: every
+		// Deliver first, then each player's Send/Drop/Delay events and Halt.
+		st.sends = st.sends[:0]
 		for i, v := range st.ids {
 			if st.isHalted(v) {
 				continue
 			}
 			inbox := st.inboxOf(v)
 			st.noteInbox(v, round, inbox)
-			bufs[i].recs = bufs[i].recs[:0]
-			haltedNow[i] = !st.procs[i].Round(round, inbox, outboxes[i])
+			st.cur = v
+			st.haltedNow[i] = !st.procs[i].Round(round, inbox, st.out)
+			st.ends[i] = len(st.sends)
 		}
-		for i, v := range st.ids {
-			if st.isHalted(v) {
-				continue
-			}
-			st.merge(round, &bufs[i])
-			if haltedNow[i] {
-				st.halt(round, v)
-			}
-		}
+		st.mergeRound(round)
 		sent := st.sealRound(round)
 		st.rounds = round
 		// The round is fully processed: inboxes handed out this round are

@@ -15,19 +15,17 @@
 //     behavior; honesty is a property of the implementation, not the engine.
 //
 // Engines are named implementations of the Engine contract, resolved from a
-// registry (EngineByName) exactly like protocols. The built-ins share one
-// delivery substrate: the deterministic lockstep engine (the default) steps
-// players in ID order in a single goroutine; the goroutine engine gives
-// every player its own goroutine with a round barrier, exercising the
-// natural Go embedding of a distributed node; the async engine relaxes
-// "delivered at the start of round k+1" to a pluggable Scheduler that
-// assigns each message its delivery round under an eventual-delivery clamp,
-// simulating adversarial message timing while staying fully deterministic
-// for a fixed seed. The wire engine (internal/wire) registers itself on
-// import and runs every player as a real OS process speaking length-prefixed
-// frames over TCP. For deterministic protocols lockstep, goroutine,
-// async-under-SyncScheduler and wire produce identical transcripts, which
-// property tests assert.
+// registry (ParseEngine) exactly like protocols. Every in-process engine
+// runs one single-goroutine round loop: the deterministic lockstep engine
+// (the default) steps players in ID order; the async engine runs the same
+// loop but relaxes "delivered at the start of round k+1" to a pluggable
+// Scheduler that assigns each message its delivery round under an
+// eventual-delivery clamp, simulating adversarial message timing while
+// staying fully deterministic for a fixed seed. The wire engine
+// (internal/wire) registers itself on import and runs every player as a
+// real OS process speaking length-prefixed frames over TCP. For
+// deterministic protocols lockstep, async-under-SyncScheduler and wire
+// produce identical transcripts, which property tests assert.
 package network
 
 import (
@@ -66,7 +64,9 @@ func (m Message) Key() string {
 }
 
 // Outbox lets a process send a message to a neighbor during Init or Round.
-// Sends to non-neighbors are dropped by the engine.
+// Sends to non-neighbors are dropped by the engine. An Outbox must not be
+// called outside the Init or Round call it was passed to: the engine
+// credits every send to the player it is stepping.
 type Outbox func(to int, p Payload)
 
 // Process is one player's protocol state machine. Engines call Init once,
@@ -154,7 +154,7 @@ type Config struct {
 	// paths of length ≤ n).
 	MaxRounds int
 	// Engine selects the execution engine (nil = Lockstep); see
-	// EngineByName for resolving one from the registry.
+	// ParseEngine for resolving one from the registry.
 	Engine Engine
 	// Scheduler is the async engine's delivery policy (nil = SyncScheduler).
 	// Ignored by the synchronous engines.
@@ -168,7 +168,7 @@ type Config struct {
 	MsgAdversary MessageAdversary
 	// Churn schedules mid-run topology edits, in non-decreasing round
 	// order (see ChurnEvent). Supported by the in-process engines
-	// (lockstep, goroutine, async); the wire engine rejects it — children
+	// (lockstep, async); the wire engine rejects it — children
 	// hold a private copy of the graph fixed at handshake.
 	Churn []ChurnEvent
 	// Blueprint is the pure-data run recipe engines running players in
@@ -180,7 +180,7 @@ type Config struct {
 	// current decisions; returning true ends the run.
 	StopEarly func(decisions map[int]Value) bool
 	// Tracers are additional run observers, invoked serially from the
-	// coordinating goroutine (see Tracer). The engine's metrics and the
+	// round loop's goroutine (see Tracer). The engine's metrics and the
 	// optional transcript recorder are installed automatically.
 	Tracers []Tracer
 }

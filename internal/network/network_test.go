@@ -1,7 +1,6 @@
 package network
 
 import (
-	"sort"
 	"strings"
 	"testing"
 
@@ -86,8 +85,8 @@ func TestValidation(t *testing.T) {
 	if _, err := Run(Config{Graph: g, Processes: map[int]Process{0: &floodProc{}, 1: &floodProc{}, 5: &floodProc{}}}); err == nil {
 		t.Fatal("Run accepted process map with wrong keys")
 	}
-	if _, err := EngineByName("warp"); err == nil {
-		t.Fatal("EngineByName accepted unknown engine")
+	if _, err := ParseEngine("warp"); err == nil {
+		t.Fatal("ParseEngine accepted unknown engine")
 	} else if !strings.Contains(err.Error(), "lockstep") {
 		t.Fatalf("unknown-engine error does not list registered names: %v", err)
 	}
@@ -110,10 +109,10 @@ func TestFloodLockstep(t *testing.T) {
 	}
 }
 
-func TestFloodGoroutine(t *testing.T) {
+func TestFloodAsync(t *testing.T) {
 	g := line(t, 5)
 	cfg := floodConfig(t, g, 0, "attack")
-	cfg.Engine = Goroutine
+	cfg.Engine = Async
 	res, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -140,7 +139,7 @@ func TestEnginesProduceIdenticalTranscripts(t *testing.T) {
 		}
 		return res
 	}
-	a, b := run(Lockstep), run(Goroutine)
+	a, b := run(Lockstep), run(Async)
 	if a.Transcript.Key() != b.Transcript.Key() {
 		t.Fatalf("transcripts differ:\n%s\nvs\n%s", a.Transcript.Key(), b.Transcript.Key())
 	}
@@ -356,28 +355,19 @@ func TestTranscriptViews(t *testing.T) {
 }
 
 func TestEngineRegistry(t *testing.T) {
-	if Lockstep.Name() != "lockstep" || Goroutine.Name() != "goroutine" || Async.Name() != "async" {
+	if Lockstep.Name() != "lockstep" || Async.Name() != "async" {
 		t.Fatal("Engine.Name wrong")
 	}
+	// This package imports no out-of-package engine, so the registry holds
+	// exactly the built-ins.
 	names := EngineNames()
-	for _, want := range []string{"async", "goroutine", "lockstep"} {
-		found := false
-		for _, n := range names {
-			if n == want {
-				found = true
-			}
-		}
-		if !found {
-			t.Fatalf("EngineNames() = %v, missing %q", names, want)
-		}
-	}
-	if !sort.StringsAreSorted(names) {
-		t.Fatalf("EngineNames() not sorted: %v", names)
+	if got, want := strings.Join(names, ","), "async,lockstep"; got != want {
+		t.Fatalf("EngineNames() = %v, want %s", names, want)
 	}
 	for _, name := range names {
-		e, err := EngineByName(name)
+		e, err := ParseEngine(name)
 		if err != nil || e.Name() != name {
-			t.Fatalf("EngineByName(%q) = %v, %v", name, e, err)
+			t.Fatalf("ParseEngine(%q) = %v, %v", name, e, err)
 		}
 	}
 }
@@ -410,14 +400,14 @@ func TestDecidedAtRoundEnginesAgree(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfgB := floodConfig(t, g, 0, "x")
-	cfgB.Engine = Goroutine
+	cfgB.Engine = Async
 	b, err := Run(cfgB)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for v := 0; v < 4; v++ {
 		if a.DecidedAtRound[v] != b.DecidedAtRound[v] {
-			t.Errorf("node %d: lockstep %d vs goroutine %d", v, a.DecidedAtRound[v], b.DecidedAtRound[v])
+			t.Errorf("node %d: lockstep %d vs async %d", v, a.DecidedAtRound[v], b.DecidedAtRound[v])
 		}
 	}
 }

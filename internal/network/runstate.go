@@ -5,23 +5,21 @@ import (
 	"sync"
 )
 
-// runState holds the bookkeeping shared by both engines. One engine round
-// proceeds as: takePending (messages sent last round) → per-player Round
-// calls writing into per-player send buffers → merge buffers in ID order →
-// sealRound. Keeping merges in ID order makes the goroutine engine's
-// observable behavior identical to lockstep for deterministic protocols.
+// runState holds the bookkeeping of the round loop every in-process engine
+// runs (runLockstep). One engine round proceeds as: takePending (messages
+// sent last round) → per-player Round calls appending to one round send
+// slice → merge each player's sends in ID order → sealRound.
 //
 // All instrumentation — complexity metrics, the transcript, and any
 // user-installed observers — flows through the Tracer event stream: the
-// engine itself only moves messages. Tracer calls all happen on the
-// coordinating goroutine (merges and inbox hand-offs are serialized even
-// under the goroutine engine), so tracers need no locking.
+// engine itself only moves messages. The round loop runs on one goroutine,
+// so tracers need no locking.
 //
 // The two stock tracers are dispatched through concrete fields rather than
 // the extra-tracer slice: metrics accumulation sits on the engines' hot
 // path, and the usual case (no transcript, no user tracers) must stay as
 // cheap as the inline counters it replaced.
-// statePool recycles runState values — buffers, outbox closures and
+// statePool recycles runState values — buffers, the outbox closure and
 // bookkeeping included — across runs. A protocol run is short (tens of
 // microseconds) and experiment drivers execute thousands of them over the
 // same or similar topologies, so per-run engine scaffolding dominates the
@@ -33,8 +31,11 @@ var statePool sync.Pool
 type runState struct {
 	cfg        Config
 	ids        []int
-	bufs       []sendBuf // per-player send buffers, reused across runs
-	outs       []Outbox  // outboxes bound to bufs (see setupBufs)
+	out        Outbox    // st.send, bound once per pooled state
+	cur        int       // ID of the player currently stepping
+	sends      []sendRec // this round's sends, in player-ID order
+	ends       []int     // ends[i] = end of player ids[i]'s sends in sends
+	haltedNow  []bool    // haltedNow[i]: ids[i]'s Round returned false this round
 	maxRounds  int
 	procs      []Process         // procs[i] = cfg.Processes[ids[i]]
 	haltedB    []bool            // dense-ID fast path: haltedB[v], nil when IDs are sparse
@@ -71,6 +72,7 @@ func newRunState(cfg Config) *runState {
 			pending:  make(map[int][]Message, 8),
 			freeFlat: make([][]Message, 0, 2),
 		}
+		st.out = st.send
 	}
 	st.cfg = cfg
 	ids := st.ids[:0]
@@ -100,6 +102,13 @@ func newRunState(cfg Config) *runState {
 	}
 	for i, v := range ids {
 		st.procs[i] = cfg.Processes[v]
+	}
+	if cap(st.ends) >= n {
+		st.ends = st.ends[:n]
+		st.haltedNow = st.haltedNow[:n]
+	} else {
+		st.ends = make([]int, n)
+		st.haltedNow = make([]bool, n)
 	}
 	// The usual case — node IDs 0..n-1 (ids is sorted and distinct, so
 	// checking the endpoints suffices) — gets array-indexed halted/decided
@@ -150,76 +159,29 @@ func newRunState(cfg Config) *runState {
 	return st
 }
 
-// sendBuf collects one player's sends during one round.
-type sendBuf struct {
-	from int
-	recs []sendRec
-}
-
+// sendRec is one send made during the current round, with the edge check
+// already applied.
 type sendRec struct {
 	msg Message
 	ok  bool
 }
 
-// newOutbox returns the Outbox for player v writing into buf. The edge
-// check enforces authenticated channels: only existing links carry data.
-func (st *runState) newOutbox(v int, buf *sendBuf) Outbox {
-	return func(to int, p Payload) {
-		ok := to != v && st.cfg.Graph.HasEdge(v, to)
-		buf.recs = append(buf.recs, sendRec{msg: Message{From: v, To: to, Payload: p}, ok: ok})
-	}
+// send is the body of the run's one Outbox. Only the player st.cur is
+// stepping may send (the Outbox contract confines sends to Init and
+// Round), so every send is credited to it. The edge check enforces
+// authenticated channels: only existing links carry data.
+func (st *runState) send(to int, p Payload) {
+	v := st.cur
+	ok := to != v && st.cfg.Graph.HasEdge(v, to)
+	st.sends = append(st.sends, sendRec{msg: Message{From: v, To: to, Payload: p}, ok: ok})
 }
 
-// setupBufs builds the per-player send buffers and outboxes both engines
-// use. Buffers live for the whole run (recs are truncated, not reallocated,
-// each round) and their initial capacity is carved from one shared slab
-// sized by the average degree; a player that outgrows its slice reallocates
-// privately, so concurrent appends under the goroutine engine stay safe.
-//
-// A pooled runState that is re-run over a topology with the same player
-// IDs reuses the previous buffers and closures outright: the closures read
-// the graph through st.cfg, which newRunState has already repointed.
-func (st *runState) setupBufs() ([]sendBuf, []Outbox) {
-	n := len(st.ids)
-	if len(st.bufs) == n {
-		same := true
-		for i, v := range st.ids {
-			if st.bufs[i].from != v {
-				same = false
-				break
-			}
-		}
-		if same {
-			for i := range st.bufs {
-				st.bufs[i].recs = st.bufs[i].recs[:0]
-			}
-			return st.bufs, st.outs
-		}
-	}
-	per := 8
-	if n > 0 {
-		if d := 4 * st.cfg.Graph.NumEdges() / n; d > per {
-			per = d
-		}
-	}
-	slab := make([]sendRec, n*per)
-	bufs := make([]sendBuf, n)
-	outs := make([]Outbox, n)
-	for i, v := range st.ids {
-		bufs[i].from = v
-		bufs[i].recs = slab[i*per : i*per : (i+1)*per]
-		outs[i] = st.newOutbox(v, &bufs[i])
-	}
-	st.bufs, st.outs = bufs, outs
-	return bufs, outs
-}
-
-// merge folds one player's send buffer into the delivery calendar, emitting
+// merge folds one player's sends into the delivery calendar, emitting
 // Send/Drop (and, for scheduler-delayed messages, Delay) events. Must be
-// called serially, in player-ID order, with the round in which the sends
-// happened — that order is also the order in which the scheduler and the
-// message adversary see the messages, which is what makes a seeded schedule
-// (and a seeded suppression pattern) reproducible.
+// called in player-ID order, with the round in which the sends happened —
+// that order is also the order in which the scheduler and the message
+// adversary see the messages, which is what makes a seeded schedule (and a
+// seeded suppression pattern) reproducible.
 //
 // Each calendar slot is one flat slice in merge order; recipient grouping
 // and inbox ordering happen once, at delivery time (takePending), so the
@@ -227,10 +189,10 @@ func (st *runState) setupBufs() ([]sendBuf, []Outbox) {
 // delivery lands every message of the batch in round+1, so the slot lookup
 // is hoisted out of the loop; only a scheduler that scatters delivery
 // rounds pays for repeated lookups.
-func (st *runState) merge(round int, buf *sendBuf) {
+func (st *runState) merge(round int, recs []sendRec) {
 	lastAt := -1
 	var flat []Message
-	for _, r := range buf.recs {
+	for _, r := range recs {
 		if !r.ok {
 			st.mt.Drop(round, r.msg)
 			if st.tt != nil {
@@ -287,6 +249,24 @@ func (st *runState) merge(round int, buf *sendBuf) {
 	}
 }
 
+// mergeRound merges the round's sends player by player in ID order, each
+// player's batch followed by its Halt event when its Round returned false.
+// Players that were already halted did not step and are skipped.
+func (st *runState) mergeRound(round int) {
+	start := 0
+	for i, v := range st.ids {
+		if st.isHalted(v) {
+			continue
+		}
+		end := st.ends[i]
+		st.merge(round, st.sends[start:end])
+		start = end
+		if st.haltedNow[i] {
+			st.halt(round, v)
+		}
+	}
+}
+
 // deliveryRound asks the scheduler (when one is installed) for the delivery
 // round of a message sent in round, clamped into [round+1, maxRounds] so a
 // scheduler can neither deliver into the past nor starve a message past the
@@ -313,7 +293,7 @@ func (st *runState) deliveryRound(round int, m Message) int {
 // effect at the start of the round, before takePending, so a message in
 // flight over an edge removed this round is lost rather than delivered.
 // The config graph is repointed at an edited clone — never mutated — so
-// the outbox closures (which read st.cfg.Graph at send time) reject sends
+// the outbox (which reads st.cfg.Graph at send time) rejects sends
 // over removed edges from this round on, while the caller's graph stays
 // untouched.
 func (st *runState) applyChurn(round int) {
@@ -708,7 +688,7 @@ func (st *runState) drainCalendar() {
 
 // release detaches everything that escaped into the Result, drops the
 // references that would pin the caller's processes and graph, and returns
-// the state — round buffers, outbox closures and all — to the pool.
+// the state — round buffers, the outbox closure and all — to the pool.
 func (st *runState) release() {
 	st.recycle()
 	clear(st.procs)

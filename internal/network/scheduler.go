@@ -106,8 +106,7 @@ func (s *splitmix64) next() uint64 {
 func (s *splitmix64) intn(n int) int { return int(s.next() % uint64(n)) }
 
 // SyncScheduler is the zero-fault schedule: every message is delivered in
-// the round after it was sent, exactly as the lockstep and goroutine
-// engines deliver. The async engine under SyncScheduler is transcript- and
+// the round after it was sent, exactly as the lockstep engine delivers. The async engine under SyncScheduler is transcript- and
 // decision-identical to lockstep, which the conformance suite asserts.
 type SyncScheduler struct{}
 

@@ -199,7 +199,7 @@ func TestSplitMixDeterminism(t *testing.T) {
 
 func TestParseEngine(t *testing.T) {
 	for name, want := range map[string]Engine{
-		"lockstep": Lockstep, "goroutine": Goroutine, "async": Async,
+		"lockstep": Lockstep, "async": Async,
 	} {
 		got, err := ParseEngine(name)
 		if err != nil || got != want {

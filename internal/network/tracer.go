@@ -12,11 +12,12 @@ import (
 // events as structured JSONL for offline analysis. Install extra observers
 // with Config.Tracers.
 //
-// Engines invoke all Tracer methods serially from the coordinating
-// goroutine — including under the goroutine engine, where sends are merged
-// behind the round barrier — so implementations need no locking. For
-// deterministic protocols the event sequence is identical under both
-// engines (the same guarantee the transcript equivalence tests rely on).
+// Engines invoke all Tracer methods serially from the goroutine running the
+// round loop, so implementations need no locking. Within a round, after
+// the Churn and Lose events of its start, every live player's Deliver event
+// comes first; then, player by player in ID order, that player's
+// Send/Drop/Delay (and Lose, for suppressed copies) events followed by its
+// Halt.
 type Tracer interface {
 	// BeginRun is called once before Init with the topology and engine.
 	BeginRun(nodes, edges int, engine Engine)

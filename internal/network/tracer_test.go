@@ -110,7 +110,7 @@ func TestTracerReconciliation(t *testing.T) {
 		val := Value(fmt.Sprintf("v%d", trial))
 
 		var streams [2][]string
-		for i, eng := range []Engine{Lockstep, Goroutine} {
+		for i, eng := range []Engine{Lockstep, Async} {
 			rt := newRecordingTracer()
 			cfg := floodConfig(t, g, origin, val)
 			cfg.Engine = eng
@@ -124,7 +124,7 @@ func TestTracerReconciliation(t *testing.T) {
 			streams[i] = rt.events
 		}
 		if strings.Join(streams[0], "\n") != strings.Join(streams[1], "\n") {
-			t.Fatalf("trial %d: event streams differ between engines:\nlockstep:\n%s\ngoroutine:\n%s",
+			t.Fatalf("trial %d: event streams differ between engines:\nlockstep:\n%s\nasync:\n%s",
 				trial, strings.Join(streams[0], "\n"), strings.Join(streams[1], "\n"))
 		}
 	}

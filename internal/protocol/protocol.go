@@ -45,7 +45,7 @@ type Decider interface {
 // of this type, so option values flow unchanged through every layer.
 type Options struct {
 	// Engine selects the execution engine (nil = lockstep); resolve one
-	// from the registry with network.EngineByName.
+	// from the registry with network.ParseEngine.
 	Engine network.Engine
 	// Scheduler is the async engine's delivery policy (nil = the zero-fault
 	// SyncScheduler). Ignored by the synchronous engines.

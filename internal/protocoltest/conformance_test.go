@@ -32,7 +32,7 @@ func newPi(in *instance.Instance) zcpa.Decider {
 // TestConformanceRegistry runs the full battery against every protocol in
 // the registry — PKA, 𝒵-CPA, PPA and broadcast — with no per-protocol
 // wiring. A protocol added to the registry is picked up automatically,
-// including the four-engine wire-equivalence slice over real sockets.
+// including the three-engine wire-equivalence slice over real sockets.
 func TestConformanceRegistry(t *testing.T) {
 	RunRegistry(t, Config{WireEngine: wire.Engine})
 }

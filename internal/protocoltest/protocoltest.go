@@ -113,15 +113,13 @@ func RunRegistry(t *testing.T, cfg Config) {
 
 // Config tunes the battery.
 type Config struct {
-	Seed          int64
-	Trials        int // random instances for the tightness sweep
-	MaxRounds     int
-	SkipEngine    bool // skip the goroutine/async engine equivalence check
-	SkipSchedules bool // skip the async schedule-safety slice
+	Seed      int64
+	Trials    int // random instances for the tightness sweep
+	MaxRounds int
 	// WireEngine, when non-nil, enables the real-socket equivalence slice
 	// for factories with a registry Protocol name: every fixture run is
-	// repeated on all four engines (lockstep, goroutine, async, wire) and
-	// must be transcript-identical. Callers pass wire.Engine; the battery
+	// repeated on all three engines (lockstep, async, wire) and must be
+	// transcript-identical. Callers pass wire.Engine; the battery
 	// cannot import internal/wire itself (the host test binary must also
 	// install the wire TestMain re-exec hook, which is the caller's choice).
 	WireEngine network.Engine
@@ -143,13 +141,9 @@ func Run(t *testing.T, f Factory, cfg Config) {
 	cfg = cfg.withDefaults()
 	t.Run(f.Name+"/honest-delivery", func(t *testing.T) { honestDelivery(t, f, cfg) })
 	t.Run(f.Name+"/safety-zoo", func(t *testing.T) { safetyZoo(t, f, cfg) })
-	if !cfg.SkipEngine {
-		t.Run(f.Name+"/engine-equivalence", func(t *testing.T) { engineEquivalence(t, f, cfg) })
-		t.Run(f.Name+"/churn-equivalence", func(t *testing.T) { churnEquivalence(t, f, cfg) })
-	}
-	if !cfg.SkipSchedules {
-		t.Run(f.Name+"/schedule-safety", func(t *testing.T) { scheduleSafety(t, f, cfg) })
-	}
+	t.Run(f.Name+"/engine-equivalence", func(t *testing.T) { engineEquivalence(t, f, cfg) })
+	t.Run(f.Name+"/churn-equivalence", func(t *testing.T) { churnEquivalence(t, f, cfg) })
+	t.Run(f.Name+"/schedule-safety", func(t *testing.T) { scheduleSafety(t, f, cfg) })
 	t.Run(f.Name+"/message-adversary", func(t *testing.T) { messageAdversary(t, f, cfg) })
 	if cfg.WireEngine != nil && f.Protocol != "" {
 		t.Run(f.Name+"/wire-equivalence", func(t *testing.T) { wireEquivalence(t, f, cfg) })
@@ -348,32 +342,24 @@ func engineEquivalence(t *testing.T, f Factory, cfg Config) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			b, bct, err := runTraced(f, in, "x", mk(), network.Goroutine, cfg.MaxRounds, true)
-			if err != nil {
-				t.Fatal(err)
-			}
 			// The async engine under the zero-fault schedule must be
-			// indistinguishable from the synchronous engines.
+			// indistinguishable from the synchronous lockstep engine.
 			c, cct, err := runTraced(f, in, "x", mk(), network.Async, cfg.MaxRounds, true)
 			if err != nil {
 				t.Fatal(err)
 			}
 			av, aok := a.DecisionOf(in.Receiver)
-			for eng, res := range map[string]*network.Result{"goroutine": b, "async": c} {
-				v, ok := res.DecisionOf(in.Receiver)
-				if av != v || aok != ok {
-					t.Errorf("fixture %d, corrupt %v: %s disagrees with lockstep (%q/%v vs %q/%v)",
-						i, m, eng, v, ok, av, aok)
-				}
-				// Deterministic protocols must be transcript-identical, not
-				// just decision-identical, across engines.
-				if ak, k := a.Transcript.Key(), res.Transcript.Key(); ak != k {
-					t.Errorf("fixture %d, corrupt %v: %s transcript differs from lockstep:\nlockstep: %s\n%s: %s",
-						i, m, eng, ak, eng, k)
-				}
+			if v, ok := c.DecisionOf(in.Receiver); av != v || aok != ok {
+				t.Errorf("fixture %d, corrupt %v: async disagrees with lockstep (%q/%v vs %q/%v)",
+					i, m, v, ok, av, aok)
+			}
+			// Deterministic protocols must be transcript-identical, not just
+			// decision-identical, across engines.
+			if ak, k := a.Transcript.Key(), c.Transcript.Key(); ak != k {
+				t.Errorf("fixture %d, corrupt %v: async transcript differs from lockstep:\nlockstep: %s\nasync: %s",
+					i, m, ak, k)
 			}
 			act.reconcile(t, fmt.Sprintf("fixture %d corrupt %v lockstep", i, m), a)
-			bct.reconcile(t, fmt.Sprintf("fixture %d corrupt %v goroutine", i, m), b)
 			cct.reconcile(t, fmt.Sprintf("fixture %d corrupt %v async", i, m), c)
 		}
 	}
@@ -383,7 +369,7 @@ func engineEquivalence(t *testing.T, f Factory, cfg Config) {
 // mid-run churn schedule — a dealer-side edge removed at round 2 and
 // restored at round 4 — pinning that topology churn preserves the
 // cross-engine determinism guarantee (identical decisions and transcripts
-// on lockstep, goroutine and async) and the send/delivery accounting.
+// on lockstep and async) and the send/delivery accounting.
 // Liveness is deliberately not asserted: severing a dealer edge can make
 // the remaining instance unsolvable, and that verdict is the feasibility
 // layer's business, not the engines'.
@@ -408,28 +394,20 @@ func churnEquivalence(t *testing.T, f Factory, cfg Config) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, bct, err := runChurned(f, in, "x", nil, network.Goroutine, nil, churn, cfg.MaxRounds, true)
-		if err != nil {
-			t.Fatal(err)
-		}
 		c, cct, err := runChurned(f, in, "x", nil, network.Async, nil, churn, cfg.MaxRounds, true)
 		if err != nil {
 			t.Fatal(err)
 		}
 		av, aok := a.DecisionOf(in.Receiver)
-		for eng, res := range map[string]*network.Result{"goroutine": b, "async": c} {
-			v, ok := res.DecisionOf(in.Receiver)
-			if av != v || aok != ok {
-				t.Errorf("fixture %d: %s under churn disagrees with lockstep (%q/%v vs %q/%v)",
-					i, eng, v, ok, av, aok)
-			}
-			if ak, k := a.Transcript.Key(), res.Transcript.Key(); ak != k {
-				t.Errorf("fixture %d: %s transcript under churn differs from lockstep:\nlockstep: %s\n%s: %s",
-					i, eng, ak, eng, k)
-			}
+		if v, ok := c.DecisionOf(in.Receiver); av != v || aok != ok {
+			t.Errorf("fixture %d: async under churn disagrees with lockstep (%q/%v vs %q/%v)",
+				i, v, ok, av, aok)
+		}
+		if ak, k := a.Transcript.Key(), c.Transcript.Key(); ak != k {
+			t.Errorf("fixture %d: async transcript under churn differs from lockstep:\nlockstep: %s\nasync: %s",
+				i, ak, k)
 		}
 		act.reconcile(t, fmt.Sprintf("fixture %d churn lockstep", i), a)
-		bct.reconcile(t, fmt.Sprintf("fixture %d churn goroutine", i), b)
 		cct.reconcile(t, fmt.Sprintf("fixture %d churn async", i), c)
 	}
 }
@@ -475,7 +453,7 @@ func messageAdversary(t *testing.T, f Factory, cfg Config) {
 				mad network.MessageAdversary
 			}
 			runs := map[string]outcome{}
-			for _, eng := range []network.Engine{network.Lockstep, network.Goroutine, network.Async} {
+			for _, eng := range []network.Engine{network.Lockstep, network.Async} {
 				madv := network.MustMessageAdversary(name, d, 11)
 				res, ct, err := runSuppressed(f, in, "x", nil, eng, madv, d, cfg.MaxRounds)
 				if err != nil {
@@ -550,9 +528,9 @@ func messageAdversary(t *testing.T, f Factory, cfg Config) {
 	}
 }
 
-// wireEquivalence is the four-engine slice: on the standard fixtures plus
+// wireEquivalence is the three-engine slice: on the standard fixtures plus
 // every feasibility fixture buildable at the factory's knowledge level, the
-// lockstep, goroutine, async and wire engines must produce identical
+// lockstep, async and wire engines must produce identical
 // receiver decisions and byte-identical transcripts. The wire engine
 // re-execs the test binary once per player and rebuilds the run from the
 // Blueprint, so this slice proves the blueprint/codec path preserves the
@@ -574,9 +552,8 @@ func wireEquivalence(t *testing.T, f Factory, cfg Config) {
 		}
 	}
 	engines := map[string]network.Engine{
-		"goroutine": network.Goroutine,
-		"async":     network.Async,
-		"wire":      cfg.WireEngine,
+		"async": network.Async,
+		"wire":  cfg.WireEngine,
 	}
 	for i, in := range ins {
 		spec := cliutil.InstanceSpec{

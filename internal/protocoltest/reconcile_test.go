@@ -33,12 +33,11 @@ func TestMetricsReconcileEverywhere(t *testing.T) {
 	const maxRounds = 64
 	type cell struct {
 		engine network.Engine
-		sched  string // "" = synchronous engines, no schedule
+		sched  string // "" = lockstep, no schedule
 		seed   int64
 	}
 	cells := []cell{
 		{network.Lockstep, "", 0},
-		{network.Goroutine, "", 0},
 	}
 	for _, name := range network.SchedulerNames() {
 		for seed := int64(1); seed <= 2; seed++ {

@@ -686,7 +686,8 @@ type RunRequest struct {
 	Protocol string `json:"protocol,omitempty"`
 	// Value is the dealer value x_D; default "1".
 	Value string `json:"value,omitempty"`
-	// Engine is lockstep (default), goroutine or async.
+	// Engine is lockstep (default) or async; any other name is a 400
+	// "unknown engine".
 	Engine string `json:"engine,omitempty"`
 	// Schedule names the async delivery policy; default "sync". Requires
 	// the async engine for any other value.

@@ -94,7 +94,12 @@ func TestProtocolsEndpoint(t *testing.T) {
 	if !names["broadcast"].AllDecide {
 		t.Error("broadcast should declare all_decide")
 	}
-	if len(resp.Engines) != 3 || len(resp.Schedules) == 0 || len(resp.Attacks) == 0 || len(resp.Knowledge) == 0 {
+	// The daemon links no out-of-package engine, so the registry holds
+	// exactly the two in-process built-ins.
+	if got := strings.Join(resp.Engines, ","); got != "async,lockstep" {
+		t.Errorf("engines = %v, want [async lockstep]", resp.Engines)
+	}
+	if len(resp.Schedules) == 0 || len(resp.Attacks) == 0 || len(resp.Knowledge) == 0 {
 		t.Fatalf("incomplete inventory: %+v", resp)
 	}
 }
@@ -355,6 +360,7 @@ func TestRunValidation(t *testing.T) {
 		{"bad knowledge", fmt.Sprintf(`{%s,"knowledge":"psychic"}`, base)},
 		{"unknown protocol", fmt.Sprintf(`{%s,"protocol":"nope"}`, base)},
 		{"unknown engine", fmt.Sprintf(`{%s,"engine":"nope"}`, base)},
+		{"removed goroutine engine", fmt.Sprintf(`{%s,"engine":"goroutine"}`, base)},
 		{"unknown schedule", fmt.Sprintf(`{%s,"engine":"async","schedule":"nope"}`, base)},
 		{"schedule without async", fmt.Sprintf(`{%s,"schedule":"random"}`, base)},
 		{"inadmissible corruption", fmt.Sprintf(`{%s,"corrupt":[1,2]}`, base)},

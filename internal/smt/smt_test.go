@@ -191,7 +191,7 @@ func TestRunDeliversSecret(t *testing.T) {
 	listen := adversary.FromSlices([]int{1, 3}, []int{4})
 	secret := network.Value("the-secret-payload")
 
-	for _, engine := range []network.Engine{network.Lockstep, network.Goroutine, network.Async} {
+	for _, engine := range []network.Engine{network.Lockstep, network.Async} {
 		for _, corrupt := range []nodeset.Set{nodeset.Empty(), nodeset.Of(1)} {
 			opts := Options{Engine: engine, Listen: listen, Seed: 1234}
 			if !corrupt.IsEmpty() {

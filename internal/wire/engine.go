@@ -19,7 +19,7 @@ const EngineWire = "wire"
 
 // Engine is the wire execution engine with default timeouts: one OS process
 // per player over TCP. It is also resolvable as "wire" via
-// network.EngineByName once this package is imported; NewEngine builds one
+// network.ParseEngine once this package is imported; NewEngine builds one
 // with custom deadlines.
 var Engine network.Engine = wireEngine{opts: EngineOptions{}.withDefaults()}
 

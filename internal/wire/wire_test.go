@@ -126,7 +126,7 @@ func (opaquePayload) BitSize() int { return 1 }
 func (opaquePayload) Key() string  { return "opaque" }
 
 func TestEngineRegistered(t *testing.T) {
-	eng, err := network.EngineByName(EngineWire)
+	eng, err := network.ParseEngine(EngineWire)
 	if err != nil {
 		t.Fatal(err)
 	}

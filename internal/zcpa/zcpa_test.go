@@ -293,14 +293,14 @@ func TestCorruptMapCannotTouchDealerReceiver(t *testing.T) {
 	}
 }
 
-func TestGoroutineEngineAgrees(t *testing.T) {
+func TestAsyncEngineAgrees(t *testing.T) {
 	in := triplePath(t)
 	for _, corrupted := range []int{1, 2, 3} {
 		a, err := Run(in, "x", protocol.Silence(nodeset.Of(corrupted)), Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := Run(in, "x", protocol.Silence(nodeset.Of(corrupted)), Options{Engine: network.Goroutine})
+		b, err := Run(in, "x", protocol.Silence(nodeset.Of(corrupted)), Options{Engine: network.Async})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -19,8 +19,8 @@
 //     the partial-knowledge machinery (view functions, local structures);
 //   - Section 5's self-reduction: protocol Π on basic instances and the
 //     Decision Protocol plugged into 𝒵-CPA as a decider (selfred types);
-//   - a network simulator with deterministic lockstep, goroutine and
-//     seeded-async engines (NewScheduler), a Byzantine strategy zoo, and an
+//   - a network simulator with deterministic lockstep and seeded-async
+//     engines (NewScheduler), a Byzantine strategy zoo, and an
 //     experiment harness regenerating every table in EXPERIMENTS.md.
 //
 // # Quick start
@@ -85,7 +85,7 @@ type (
 	// Processes.
 	Process = network.Process
 	// Engine is the execution-engine contract; resolve one by registry
-	// name with ParseEngine (lockstep, goroutine, async, wire).
+	// name with ParseEngine (lockstep, async, wire).
 	Engine = network.Engine
 	// Scheduler is the async engine's delivery policy: it assigns each
 	// accepted send a delivery round (see NewScheduler for the stock
@@ -129,13 +129,12 @@ type (
 // vars are the built-ins, and importing rmt/internal/wire adds the
 // real-socket "wire" engine.
 var (
-	Lockstep  = network.Lockstep
-	Goroutine = network.Goroutine
-	Async     = network.Async
+	Lockstep = network.Lockstep
+	Async    = network.Async
 )
 
-// ParseEngine resolves an engine by registry name ("lockstep", "goroutine",
-// "async", plus any engine registered by imported packages, such as "wire").
+// ParseEngine resolves an engine by registry name ("lockstep", "async", plus
+// any engine registered by imported packages, such as "wire").
 func ParseEngine(name string) (Engine, error) { return network.ParseEngine(name) }
 
 // Engines returns the names of every registered engine, sorted.

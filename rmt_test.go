@@ -197,13 +197,13 @@ func TestBasicPublic(t *testing.T) {
 	}
 }
 
-func TestGoroutineEnginePublic(t *testing.T) {
+func TestAsyncEnginePublic(t *testing.T) {
 	g, z := triple(t)
 	in, err := NewAdHocInstance(g, z, 0, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := RunPKA(in, "x", nil, PKAOptions{Engine: Goroutine})
+	res, err := RunPKA(in, "x", nil, PKAOptions{Engine: Async})
 	if err != nil {
 		t.Fatal(err)
 	}
