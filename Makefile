@@ -51,12 +51,14 @@ benchjson:
 benchguard:
 	$(GO) run ./cmd/rmtbench -compare BENCH.json
 
-# Allocation-only hot-path guard. Unlike wall-clock numbers, allocation
-# counts are deterministic, so this one DOES gate every PR — it runs as an
-# ordinary test inside `go test ./...` (and therefore inside tier1); the
-# named target exists for running it alone.
+# Allocation-only hot-path guards (the RMT-PKA run and a warm rmtd
+# feasibility cache hit). Unlike wall-clock numbers, allocation counts are
+# deterministic, so these DO gate every PR — they run as ordinary tests
+# inside `go test ./...` (and therefore inside tier1); the named target
+# exists for running them alone.
 allocguard:
 	$(GO) test -run TestPKARunAllocBudget -count=1 .
+	$(GO) test -run TestFeasibilityHitAllocBudget -count=1 ./internal/server/
 
 # Per-PR benchmark snapshot: BENCH_<pr>.json next to the rolling BENCH.json
 # baseline, so the perf trajectory accumulates one point per PR (CI archives
@@ -140,9 +142,12 @@ watchsmoke:
 fleetsmoke:
 	$(GO) run ./cmd/rmtload -fleet -smoke
 
-# Short coverage-guided fuzz smoke on the instance-spec parser.
+# Short coverage-guided fuzz smokes: the instance-spec parser, and the
+# rmtd request-to-cache-key boundary (parse fails exactly when building the
+# instance fails; re-spellings of a request share its key).
 fuzzsmoke:
 	$(GO) test ./internal/cliutil/ -run=^$$ -fuzz=FuzzParseInstanceSpec -fuzztime=10s
+	$(GO) test ./internal/server/ -run=^$$ -fuzz=FuzzFeasibilityRequestKey -fuzztime=10s
 
 # Per-package coverage with a repo-level floor. The threshold gates total
 # statement coverage across every package, example mains included — the

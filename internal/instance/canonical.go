@@ -3,22 +3,24 @@ package instance
 import (
 	"crypto/sha256"
 	"encoding/hex"
-	"fmt"
-	"sort"
-	"strings"
+	"slices"
+	"strconv"
 	"sync"
 
+	"rmt/internal/adversary"
 	"rmt/internal/graph"
+	"rmt/internal/nodeset"
 )
 
 // This file defines the canonical content identity of an instance: two
 // Instance values describing the same tuple 𝓘 = (G, 𝒵, γ, D, R) — however
 // their graphs, structures or views were assembled, and in whatever input
 // order — render the same CanonicalString and therefore hash to the same
-// CanonicalKey. The key is what the rmtd query daemon uses to cache
-// feasibility verdicts and run results across requests: a client phrasing
-// the same instance with permuted edge lists or structure sets hits the
-// same cache line.
+// CanonicalKey. The key is what the rmtd query daemon reports for every
+// instance and shards its fleet by: a client phrasing the same instance with
+// permuted edge lists or structure sets gets the same key. The same
+// renderer also produces AppendTupleHash, the view-free identity of (G, 𝒵)
+// that rmtd's result cache is keyed by.
 
 // canonical carries the lazily computed identity; it lives behind a
 // pointer so Instance stays copy-safe and the memo is shared by copies.
@@ -49,47 +51,91 @@ func (in *Instance) CanonicalKey() string {
 }
 
 func (in *Instance) renderCanonical() {
-	var b strings.Builder
-	b.WriteString("rmt-instance-v1\n")
-	fmt.Fprintf(&b, "graph: %s\n", canonicalGraph(in.G))
-	fmt.Fprintf(&b, "structure: %s\n", canonicalStructureOf(in))
-	b.WriteString("gamma:\n")
+	b := make([]byte, 0, 512)
+	b = append(b, "rmt-instance-v1\n"...)
+	b = appendTuple(b, in.G, in.Z)
+	b = append(b, "gamma:\n"...)
 	in.Gamma.Domain().ForEach(func(v int) bool {
-		fmt.Fprintf(&b, "  %d: %s\n", v, canonicalGraph(in.Gamma.Of(v)))
+		b = append(b, "  "...)
+		b = strconv.AppendInt(b, int64(v), 10)
+		b = append(b, ": "...)
+		b = appendGraph(b, in.Gamma.Of(v))
+		b = append(b, '\n')
 		return true
 	})
-	fmt.Fprintf(&b, "dealer: %d\nreceiver: %d\n", in.Dealer, in.Receiver)
-	in.canon.str = b.String()
-	sum := sha256.Sum256([]byte(in.canon.str))
+	b = append(b, "dealer: "...)
+	b = strconv.AppendInt(b, int64(in.Dealer), 10)
+	b = append(b, "\nreceiver: "...)
+	b = strconv.AppendInt(b, int64(in.Receiver), 10)
+	b = append(b, '\n')
+	in.canon.str = string(b)
+	sum := sha256.Sum256(b)
 	in.canon.key = hex.EncodeToString(sum[:])
 }
 
-// canonicalGraph renders nodes and edges in sorted order. The node set is
-// included explicitly so isolated nodes are part of the identity.
-func canonicalGraph(g *graph.Graph) string {
-	var b strings.Builder
-	b.WriteString("V{")
-	b.WriteString(g.Nodes().Key())
-	b.WriteString("} E{")
-	for i, e := range g.Edges() { // Edges iterates sorted: u ascending, v>u ascending
-		if i > 0 {
-			b.WriteByte(' ')
-		}
-		fmt.Fprintf(&b, "%d-%d", e[0], e[1])
-	}
-	b.WriteString("}")
-	return b.String()
+// AppendTupleHash appends the hex SHA-256 of the canonical rendering of
+// (G, 𝒵) — the "graph:" and "structure:" lines CanonicalString starts
+// with — to dst. Permuted or endpoint-flipped edge lists and reordered
+// structure sets hash alike. The hash leaves out γ, D and R: a caller
+// that fixes how γ derives from G (a knowledge level) and records D and R
+// beside the hash identifies the instance tuple as exactly as
+// CanonicalKey does, without building a single view.
+func AppendTupleHash(dst []byte, g *graph.Graph, z adversary.Structure) []byte {
+	var buf [256]byte
+	sum := sha256.Sum256(appendTuple(buf[:0], g, z))
+	return hex.AppendEncode(dst, sum[:])
 }
 
-// canonicalStructureOf renders the antichain of maximal sets sorted by
-// their canonical set keys — the stored antichain order can depend on the
-// order sets were supplied in, so it is normalized here.
-func canonicalStructureOf(in *Instance) string {
-	maximal := in.Z.Maximal()
-	keys := make([]string, len(maximal))
-	for i, s := range maximal {
-		keys[i] = s.Key()
+// appendTuple appends the graph and structure lines of the canonical
+// rendering.
+func appendTuple(b []byte, g *graph.Graph, z adversary.Structure) []byte {
+	b = append(b, "graph: "...)
+	b = appendGraph(b, g)
+	b = append(b, "\nstructure: "...)
+	b = appendStructure(b, z)
+	return append(b, '\n')
+}
+
+// appendGraph renders nodes and edges in sorted order. The node set is
+// included explicitly so isolated nodes are part of the identity.
+func appendGraph(b []byte, g *graph.Graph) []byte {
+	b = append(b, "V{"...)
+	b = g.Nodes().AppendKey(b)
+	b = append(b, "} E{"...)
+	first := true
+	// Nodes ascending, then neighbors v > u ascending: the order of Edges.
+	g.Nodes().ForEach(func(u int) bool {
+		g.Neighbors(u).ForEach(func(v int) bool {
+			if v > u {
+				if !first {
+					b = append(b, ' ')
+				}
+				first = false
+				b = strconv.AppendInt(b, int64(u), 10)
+				b = append(b, '-')
+				b = strconv.AppendInt(b, int64(v), 10)
+			}
+			return true
+		})
+		return true
+	})
+	return append(b, '}')
+}
+
+// appendStructure renders the antichain of maximal sets sorted by their
+// set keys and joined by ';' — the stored antichain order can depend on
+// the order sets were supplied in, so it is normalized here.
+func appendStructure(b []byte, z adversary.Structure) []byte {
+	sets := z.Maximal()
+	if len(sets) > 1 {
+		sets = slices.Clone(sets)
+		slices.SortFunc(sets, nodeset.Set.CompareKey)
 	}
-	sort.Strings(keys)
-	return strings.Join(keys, ";")
+	for i, s := range sets {
+		if i > 0 {
+			b = append(b, ';')
+		}
+		b = s.AppendKey(b)
+	}
+	return b
 }

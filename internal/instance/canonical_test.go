@@ -1,12 +1,15 @@
 package instance
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"math/rand"
 	"strings"
 	"testing"
 
 	"rmt/internal/adversary"
 	"rmt/internal/graph"
+	"rmt/internal/nodeset"
 	"rmt/internal/view"
 )
 
@@ -127,5 +130,34 @@ func TestCanonicalStringMentionsIsolatedNodes(t *testing.T) {
 	}
 	if base.CanonicalKey() == bigger.CanonicalKey() {
 		t.Fatal("isolated node did not change the canonical key")
+	}
+}
+
+// TestTupleHashIsTheCanonicalPrefix: AppendTupleHash hashes exactly the
+// graph and structure lines of CanonicalString — one renderer serves both —
+// and appends to its destination.
+func TestTupleHashIsTheCanonicalPrefix(t *testing.T) {
+	r := rand.New(rand.NewSource(9))
+	for trial := 0; trial < 50; trial++ {
+		g := graph.NewWithNodes(3 + r.Intn(8))
+		for u := 0; u < g.NumNodes(); u++ {
+			for v := u + 1; v < g.NumNodes(); v++ {
+				if r.Intn(3) == 0 {
+					g.AddEdge(u, v)
+				}
+			}
+		}
+		relays := g.Nodes().Minus(nodeset.Of(0, g.NumNodes()-1))
+		z := adversary.Random(r, relays, 1+r.Intn(3), 0.5)
+		in, err := New(g, z, view.AdHoc(g), 0, g.NumNodes()-1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := in.CanonicalString()
+		tuple := s[len("rmt-instance-v1\n"):strings.Index(s, "gamma:\n")]
+		sum := sha256.Sum256([]byte(tuple))
+		if got, want := string(AppendTupleHash([]byte("k="), g, z)), "k="+hex.EncodeToString(sum[:]); got != want {
+			t.Fatalf("trial %d: AppendTupleHash = %s, hash of the canonical prefix = %s", trial, got, want)
+		}
 	}
 }

@@ -42,27 +42,40 @@ var (
 	ErrReceiverCorrupt  = errors.New("instance: adversary structure can corrupt the receiver")
 )
 
+// Validate checks the parts of the tuple that do not involve views: the
+// terminals are distinct nodes of G and, following the paper's honest
+// dealer and receiver, 𝒵's ground set avoids both and lies inside V(G).
+// New runs it first, so a caller that validates (G, 𝒵, D, R) before
+// building views gets New's errors in New's order.
+func Validate(g *graph.Graph, z adversary.Structure, dealer, receiver int) error {
+	if !g.HasNode(dealer) {
+		return ErrDealerMissing
+	}
+	if !g.HasNode(receiver) {
+		return ErrReceiverMissing
+	}
+	if dealer == receiver {
+		return ErrDealerIsReceiver
+	}
+	ground := z.Ground()
+	if ground.Contains(dealer) {
+		return ErrDealerCorruptib
+	}
+	if ground.Contains(receiver) {
+		return ErrReceiverCorrupt
+	}
+	if !ground.SubsetOf(g.Nodes()) {
+		return fmt.Errorf("instance: adversary structure mentions non-nodes %v", ground.Minus(g.Nodes()))
+	}
+	return nil
+}
+
 // New validates the tuple and builds an Instance. Following the paper, the
 // dealer and the receiver are presumed honest, so structures that allow
 // corrupting either are rejected; views must be consistent subgraphs of G.
 func New(g *graph.Graph, z adversary.Structure, gamma view.Function, dealer, receiver int) (*Instance, error) {
-	if !g.HasNode(dealer) {
-		return nil, ErrDealerMissing
-	}
-	if !g.HasNode(receiver) {
-		return nil, ErrReceiverMissing
-	}
-	if dealer == receiver {
-		return nil, ErrDealerIsReceiver
-	}
-	if z.Ground().Contains(dealer) {
-		return nil, ErrDealerCorruptib
-	}
-	if z.Ground().Contains(receiver) {
-		return nil, ErrReceiverCorrupt
-	}
-	if !z.Ground().SubsetOf(g.Nodes()) {
-		return nil, fmt.Errorf("instance: adversary structure mentions non-nodes %v", z.Ground().Minus(g.Nodes()))
+	if err := Validate(g, z, dealer, receiver); err != nil {
+		return nil, err
 	}
 	if err := gamma.ConsistentWith(g); err != nil {
 		return nil, fmt.Errorf("instance: %w", err)

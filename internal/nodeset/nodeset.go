@@ -412,6 +412,28 @@ func (s Set) AppendKey(dst []byte) []byte {
 	return dst
 }
 
+// CompareKey orders s and t as strings.Compare orders s.Key() and t.Key(),
+// without building either key.
+func (s Set) CompareKey(t Set) int {
+	for i := 0; i < len(s.words) && i < len(t.words); i++ {
+		// Key writes each word low byte first, so byte order within a word
+		// is the byte-reversed word's numeric order.
+		if a, b := bits.ReverseBytes64(s.words[i]), bits.ReverseBytes64(t.words[i]); a != b {
+			if a < b {
+				return -1
+			}
+			return 1
+		}
+	}
+	switch {
+	case len(s.words) < len(t.words):
+		return -1
+	case len(s.words) > len(t.words):
+		return 1
+	}
+	return 0
+}
+
 // String renders s as "{a, b, c}" with members in increasing order.
 func (s Set) String() string {
 	var b strings.Builder

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -444,5 +445,28 @@ func BenchmarkMembers(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		_ = x.Members()
+	}
+}
+
+// TestCompareKeyMatchesKeyOrder: CompareKey sorts sets exactly as
+// strings.Compare sorts their Keys, across word boundaries and for sets of
+// different word counts.
+func TestCompareKeyMatchesKeyOrder(t *testing.T) {
+	r := rand.New(rand.NewSource(11))
+	random := func() Set {
+		s := Empty()
+		for i, n := 0, r.Intn(6); i < n; i++ {
+			s = s.Add(r.Intn(200))
+		}
+		return s
+	}
+	for i := 0; i < 5000; i++ {
+		a, b := random(), random()
+		if got, want := a.CompareKey(b), strings.Compare(a.Key(), b.Key()); got != want {
+			t.Fatalf("%v.CompareKey(%v) = %d, key order says %d", a, b, got, want)
+		}
+		if a.CompareKey(a) != 0 {
+			t.Fatalf("%v.CompareKey(itself) != 0", a)
+		}
 	}
 }

@@ -6,8 +6,8 @@ import (
 )
 
 // resultCache is a size-bounded LRU over marshaled response bodies, keyed
-// by the request's canonical key (the instance's canonical content hash
-// plus the normalized query parameters — see cacheKey). Storing the exact
+// by the request's canonical key (the parsed instance tuple plus the
+// normalized query parameters — see feasibilityKey and runKey). Storing the exact
 // bytes that were first served, rather than re-marshaling per request,
 // gives the daemon its byte-identical-replies guarantee: two requests with
 // the same canonical key receive the same body regardless of worker count

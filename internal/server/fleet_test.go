@@ -65,15 +65,7 @@ func TestRingRoutesCanonicalSpellingsTogether(t *testing.T) {
 func TestInternalCacheEndpoint(t *testing.T) {
 	_, ts := newTestServer(t, Options{})
 
-	var q InstanceRequest
-	if err := json.Unmarshal([]byte(solvableButterfly), &q); err != nil {
-		t.Fatal(err)
-	}
-	in, level, err := q.build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	key := "feasibility-v3\n" + level.String() + "\nd=0\nlisten=\n" + in.CanonicalKey()
+	key := feasibilityKeyOf(t, solvableButterfly)
 
 	// A miss answers 404 and must not trigger any compute.
 	code, _ := post(t, ts, "/internal/cache", key)

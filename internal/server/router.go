@@ -301,7 +301,12 @@ func readLimitedLine(br *bufio.Reader, limit int64) ([]byte, error) {
 	return nil, fmt.Errorf("line exceeds %d bytes", limit)
 }
 
+// logRequest writes one access-log line; a quiet router (io.Discard) skips
+// the timestamp, the marshal and the lock.
 func (rt *Router) logRequest(method, path, shard string, status int, d time.Duration) {
+	if rt.opts.LogWriter == io.Discard {
+		return
+	}
 	entry := struct {
 		Time   string  `json:"time"`
 		Method string  `json:"method"`

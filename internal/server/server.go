@@ -5,11 +5,11 @@
 //
 // Two pieces make it a daemon rather than a CGI script:
 //
-//   - results are cached in a size-bounded LRU keyed by the instance's
-//     canonical content hash (instance.CanonicalKey) plus the normalized
-//     request parameters, so repeated queries — the common shape when a
-//     notebook or script sweeps seeds around one topology — are served from
-//     memory, byte-identically;
+//   - results are cached in a size-bounded LRU keyed by the parsed instance
+//     tuple (G, 𝒵, knowledge level, D, R) plus the normalized request
+//     parameters, so repeated queries — the common shape when a notebook or
+//     script sweeps seeds around one topology — are served from memory,
+//     byte-identically, without building the instance's views;
 //   - heavy work runs on a bounded worker pool (eval.Pool) with queue-depth
 //     backpressure: when the queue is full the daemon answers 429 instead of
 //     accumulating goroutines. The per-request deadline context is plumbed
@@ -33,6 +33,7 @@ import (
 	"io"
 	"net/http"
 	"os"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -195,7 +196,12 @@ func (r *statusRecorder) WriteHeader(code int) {
 // and EnableFullDuplex — the watch stream needs both.
 func (r *statusRecorder) Unwrap() http.ResponseWriter { return r.ResponseWriter }
 
+// logRequest writes one access-log line; a quiet server (io.Discard) skips
+// the timestamp, the marshal and the lock.
 func (s *Server) logRequest(method, path string, status int, d time.Duration, cache string) {
+	if s.opts.LogWriter == io.Discard {
+		return
+	}
 	entry := struct {
 		Time   string  `json:"time"`
 		Method string  `json:"method"`
@@ -306,29 +312,73 @@ type InstanceRequest struct {
 	Receiver  int    `json:"receiver"`
 }
 
-func (q InstanceRequest) build() (*instance.Instance, gen.Knowledge, error) {
+// parsedInstance is an InstanceRequest after parsing and instance.Validate:
+// the tuple (G, 𝒵, level, D, R) without views. It is everything a cache
+// lookup needs; build adds the views γ and the local structures Z_v.
+type parsedInstance struct {
+	g                *graph.Graph
+	z                adversary.Structure
+	level            gen.Knowledge
+	dealer, receiver int
+}
+
+// parse parses the request's edge list, structure and knowledge level and
+// makes every tuple check instance.New makes, with the same errors in the
+// same order — for a level's views, New's view checks cannot fail.
+func (q InstanceRequest) parse() (parsedInstance, error) {
 	if strings.TrimSpace(q.Graph) == "" {
-		return nil, 0, fmt.Errorf("graph is required")
+		return parsedInstance{}, fmt.Errorf("graph is required")
 	}
 	g, err := graph.ParseEdgeList(q.Graph)
 	if err != nil {
-		return nil, 0, err
+		return parsedInstance{}, err
 	}
 	z, err := cliutil.ParseStructure(q.Structure)
 	if err != nil {
-		return nil, 0, err
+		return parsedInstance{}, err
 	}
 	level := gen.AdHoc
 	if q.Knowledge != "" {
 		if level, err = cliutil.ParseKnowledge(q.Knowledge); err != nil {
-			return nil, 0, err
+			return parsedInstance{}, err
 		}
 	}
-	in, err := gen.Build(g, z, level, q.Dealer, q.Receiver)
+	if err := instance.Validate(g, z, q.Dealer, q.Receiver); err != nil {
+		return parsedInstance{}, err
+	}
+	return parsedInstance{g: g, z: z, level: level, dealer: q.Dealer, receiver: q.Receiver}, nil
+}
+
+// build materializes the instance: the level's views and the local
+// structures.
+func (p parsedInstance) build() (*instance.Instance, error) {
+	return gen.Build(p.g, p.z, p.level, p.dealer, p.receiver)
+}
+
+// build parses and builds in one step, for the paths that always need the
+// instance or its canonical key (/v1/watch and the router).
+func (q InstanceRequest) build() (*instance.Instance, gen.Knowledge, error) {
+	p, err := q.parse()
 	if err != nil {
 		return nil, 0, err
 	}
-	return in, level, nil
+	in, err := p.build()
+	return in, p.level, err
+}
+
+// appendKey appends the parsed tuple's share of a result-cache key: the
+// knowledge level, the terminals and instance.AppendTupleHash of (G, 𝒵).
+// The level fixes γ as a function of G, so equal shares mean equal
+// instance tuples (G, 𝒵, γ, D, R) at equal levels — the same requests
+// that share a level and a CanonicalKey — and no view is built to find out.
+func (p parsedInstance) appendKey(b []byte) []byte {
+	b = append(b, p.level.String()...)
+	b = append(b, "\ndealer="...)
+	b = strconv.AppendInt(b, int64(p.dealer), 10)
+	b = append(b, "\nreceiver="...)
+	b = strconv.AppendInt(b, int64(p.receiver), 10)
+	b = append(b, "\ntuple="...)
+	return instance.AppendTupleHash(b, p.g, p.z)
 }
 
 // ------------------------------------------------------- pooled computation
@@ -404,10 +454,12 @@ func (s *Server) interrupted(w http.ResponseWriter, r *http.Request) {
 // The incumbent body always wins (see resultCache.put), so equal cache keys
 // get byte-identical replies regardless of worker count or arrival order.
 //
-// ownerKey is the instance's canonical content hash, the unit of fleet
-// ownership: in a sharded fleet, a local miss on a key another shard owns
-// first asks that peer's cache (see fetchFromPeer) before computing.
-func (s *Server) serveCached(w http.ResponseWriter, r *http.Request, key, ownerKey string, fn func(ctx context.Context) ([]byte, error)) {
+// A hit is served from the parsed request alone. Only a miss builds the
+// instance: fn computes on it, and its canonical content hash is the unit
+// of fleet ownership — in a sharded fleet, a local miss on a key another
+// shard owns first asks that peer's cache (see fetchFromPeer) before
+// computing.
+func (s *Server) serveCached(w http.ResponseWriter, r *http.Request, key string, p parsedInstance, fn func(ctx context.Context, in *instance.Instance) ([]byte, error)) {
 	rec, _ := w.(*statusRecorder)
 	if body, ok := s.cache.get(key); ok {
 		s.metrics.cacheHits.Add(1)
@@ -417,11 +469,16 @@ func (s *Server) serveCached(w http.ResponseWriter, r *http.Request, key, ownerK
 		writeJSON(w, http.StatusOK, body)
 		return
 	}
+	in, err := p.build()
+	if err != nil {
+		writeError(w, http.StatusBadRequest, "instance: %v", err)
+		return
+	}
 	s.metrics.cacheMisses.Add(1)
 	if rec != nil {
 		rec.cache = "miss"
 	}
-	if body, ok := s.fetchFromPeer(r.Context(), key, ownerKey); ok {
+	if body, ok := s.fetchFromPeer(r.Context(), key, in.CanonicalKey()); ok {
 		if rec != nil {
 			rec.cache = "peer"
 		}
@@ -429,7 +486,7 @@ func (s *Server) serveCached(w http.ResponseWriter, r *http.Request, key, ownerK
 		writeJSON(w, http.StatusOK, body)
 		return
 	}
-	body := s.compute(w, r, fn)
+	body := s.compute(w, r, func(ctx context.Context) ([]byte, error) { return fn(ctx, in) })
 	if body == nil {
 		return
 	}
@@ -588,7 +645,7 @@ func (s *Server) handleFeasibility(w http.ResponseWriter, r *http.Request) {
 	if !s.decode(w, r, &req) {
 		return
 	}
-	in, level, err := req.build()
+	p, err := req.parse()
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "instance: %v", err)
 		return
@@ -602,20 +659,8 @@ func (s *Server) handleFeasibility(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "listen: %v", err)
 		return
 	}
-	// The key carries the knowledge level alongside the canonical hash:
-	// the response depends on both (the "knowledge" field, and the
-	// adhoc-only ZCPA verdict), and distinct levels can share a canonical
-	// hash — on triangle-free graphs the radius-1 view γ coincides with the
-	// ad hoc one, so radius1 and adhoc requests describe the same instance
-	// tuple yet need different bodies. v2 added the suppression budget,
-	// which parameterizes the MBRB verdict; v3 added the normalized
-	// listening structure, which parameterizes the SMT verdict — the bump
-	// retires every v2-era entry, so a cached no-listening body can never
-	// answer a listening-structure request.
-	key := fmt.Sprintf("feasibility-v3\n%s\nd=%d\nlisten=%s\n%s",
-		level, req.MABudget, cliutil.FormatStructure(listen), in.CanonicalKey())
-	s.serveCached(w, r, key, in.CanonicalKey(), func(ctx context.Context) ([]byte, error) {
-		resp := FeasibilityResponse{Key: in.CanonicalKey(), Knowledge: level.String()}
+	s.serveCached(w, r, feasibilityKey(p, req.MABudget, listen), p, func(ctx context.Context, in *instance.Instance) ([]byte, error) {
+		resp := FeasibilityResponse{Key: in.CanonicalKey(), Knowledge: p.level.String()}
 		if mv, err := feasibility.MBRBVerdictFor(in, req.MABudget); err == nil {
 			resp.MBRB = &MBRBVerdict{N: mv.N, T: mv.T, D: mv.D, Feasible: mv.Feasible}
 		}
@@ -625,7 +670,7 @@ func (s *Server) handleFeasibility(w http.ResponseWriter, r *http.Request) {
 			return nil, err
 		}
 		resp.PKA = cutVerdict(w, found)
-		if level == gen.AdHoc {
+		if p.level == gen.AdHoc {
 			w, found, _, err := cut.Search(ctx, in, zcpa.Def7, 0)
 			if err != nil {
 				return nil, err
@@ -635,6 +680,25 @@ func (s *Server) handleFeasibility(w http.ResponseWriter, r *http.Request) {
 		}
 		return marshalBody(resp)
 	})
+}
+
+// feasibilityKey is the /v1/feasibility result-cache key: the parsed tuple
+// plus the two request parameters the body depends on, the suppression
+// budget d (MBRB verdict) and the normalized listening structure (SMT
+// verdict). The level is part of it twice over — it fixes γ, and it labels
+// the body ("knowledge", the adhoc-only ZCPA verdict) even where two
+// levels' views coincide, as the radius-1 and ad hoc views do on
+// triangle-free graphs. The prefix is bumped whenever the layout changes,
+// which retires every older entry.
+func feasibilityKey(p parsedInstance, d int, listen adversary.Structure) string {
+	b := make([]byte, 0, 192)
+	b = append(b, "feasibility-v4\n"...)
+	b = p.appendKey(b)
+	b = append(b, "\nd="...)
+	b = strconv.AppendInt(b, int64(d), 10)
+	b = append(b, "\nlisten="...)
+	b = append(b, cliutil.FormatStructure(listen)...)
+	return string(b)
 }
 
 // cutVerdict renders a cut search's outcome: solvable when no witness
@@ -767,7 +831,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	req.normalize()
-	in, level, err := req.build()
+	p, err := req.parse()
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "instance: %v", err)
 		return
@@ -775,12 +839,12 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 
 	// Validate everything on the request goroutine so bad requests are
 	// rejected in microseconds without consuming a pool slot.
-	p, ok := protocol.Get(req.Protocol)
+	proto, ok := protocol.Get(req.Protocol)
 	if !ok {
 		writeError(w, http.StatusBadRequest, "unknown protocol %q (see /v1/protocols)", req.Protocol)
 		return
 	}
-	if p.Caps().NeedsFullKnowledge && level != gen.FullKnowledge {
+	if proto.Caps().NeedsFullKnowledge && p.level != gen.FullKnowledge {
 		writeError(w, http.StatusBadRequest, "protocol %q requires \"knowledge\": \"full\"", req.Protocol)
 		return
 	}
@@ -806,8 +870,8 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	corrupt := nodeset.Of(req.Corrupt...)
-	if !in.Admissible(corrupt) {
-		writeError(w, http.StatusBadRequest, "corruption set %v is not admissible under %v", corrupt, in.Z)
+	if !p.z.Contains(corrupt) {
+		writeError(w, http.StatusBadRequest, "corruption set %v is not admissible under %v", corrupt, p.z)
 		return
 	}
 	strategy, ok := byzantine.Get(req.Attack)
@@ -816,8 +880,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	key := runCacheKey(in, &req)
-	s.serveCached(w, r, key, in.CanonicalKey(), func(ctx context.Context) ([]byte, error) {
+	s.serveCached(w, r, runKey(p, &req, corrupt), p, func(ctx context.Context, in *instance.Instance) ([]byte, error) {
 		resp, err := s.runTrials(ctx, in, &req, eng, corrupt, strategy)
 		if err != nil {
 			return nil, err
@@ -826,16 +889,18 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// runCacheKey derives the result-cache key from the canonical instance hash
-// and the normalized run parameters — everything the response depends on.
-func runCacheKey(in *instance.Instance, req *RunRequest) string {
-	var b strings.Builder
-	b.WriteString("run-v1\n")
-	b.WriteString(in.CanonicalKey())
-	fmt.Fprintf(&b, "\nprotocol: %s\nvalue: %s\nengine: %s\nschedule: %s\nseed: %d\ntrials: %d\ncorrupt: %s\nattack: %s\nforged: %s\nmaxrounds: %d\ntranscript: %v\n",
+// runKey is the /v1/run result-cache key: the parsed tuple plus every
+// normalized run parameter the response depends on. Free-text fields are
+// quoted, so a value or forged string that contains a line break cannot
+// spell another request's key.
+func runKey(p parsedInstance, req *RunRequest, corrupt nodeset.Set) string {
+	b := make([]byte, 0, 320)
+	b = append(b, "run-v2\n"...)
+	b = p.appendKey(b)
+	b = fmt.Appendf(b, "\nprotocol: %q\nvalue: %q\nengine: %q\nschedule: %q\nseed: %d\ntrials: %d\ncorrupt: %v\nattack: %q\nforged: %q\nmaxrounds: %d\ntranscript: %v\n",
 		req.Protocol, req.Value, req.Engine, req.Schedule, req.Seed, req.Trials,
-		nodeset.Of(req.Corrupt...).Key(), req.Attack, req.Forged, req.MaxRounds, req.Transcript)
-	return b.String()
+		corrupt, req.Attack, req.Forged, req.MaxRounds, req.Transcript)
+	return string(b)
 }
 
 // runTrialWorkers bounds one request's internal fan-out so a large Trials
