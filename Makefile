@@ -142,12 +142,15 @@ watchsmoke:
 fleetsmoke:
 	$(GO) run ./cmd/rmtload -fleet -smoke
 
-# Short coverage-guided fuzz smokes: the instance-spec parser, and the
-# rmtd request-to-cache-key boundary (parse fails exactly when building the
-# instance fails; re-spellings of a request share its key).
+# Short coverage-guided fuzz smokes: the instance-spec parser, the rmtd
+# request-to-cache-key boundary (parse fails exactly when building the
+# instance fails; re-spellings of a request share its key), and /v1/watch
+# ndjson bodies (never a panic; a 4xx or an event stream ending in at most
+# one error line).
 fuzzsmoke:
 	$(GO) test ./internal/cliutil/ -run=^$$ -fuzz=FuzzParseInstanceSpec -fuzztime=10s
 	$(GO) test ./internal/server/ -run=^$$ -fuzz=FuzzFeasibilityRequestKey -fuzztime=10s
+	$(GO) test ./internal/server/ -run=^$$ -fuzz=FuzzWatchRequest -fuzztime=10s
 
 # Per-package coverage with a repo-level floor. The threshold gates total
 # statement coverage across every package, example mains included — the

@@ -65,10 +65,15 @@ func TestFeasibilityCacheKeyCarriesListen(t *testing.T) {
 	if err := json.Unmarshal([]byte(smtInstance), &q); err != nil {
 		t.Fatal(err)
 	}
-	in, level, err := q.build()
+	p, err := q.parse()
 	if err != nil {
 		t.Fatal(err)
 	}
+	in, err := p.build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	level := p.level
 	stale := []byte(`{"sentinel":"retired cached body"}`)
 	retired := []string{
 		fmt.Sprintf("feasibility-v2\n%s\nd=%d\n%s", level, 0, in.CanonicalKey()),
@@ -240,6 +245,10 @@ func TestBadRequestPrecedence(t *testing.T) {
 			`{"error":"trials 9 exceeds the limit 8"}`},
 		{"/v1/run", `{` + diamond + `,"structure":"2;1","corrupt":[1,2]}`,
 			`{"error":"corruption set {1, 2} is not admissible under ⟨{1}, {2}⟩"}`},
+		{"/v1/run", `{` + diamond + `,"structure":"1;2","corrupt":[-1],"attack":"nope"}`,
+			`{"error":"corrupt: node -1 is outside [0, 1048576]"}`},
+		{"/v1/run", `{` + diamond + `,"structure":"1;2","corrupt":[1,1048577]}`,
+			`{"error":"corrupt: node 1048577 is outside [0, 1048576]"}`},
 	}
 	for _, tc := range cases {
 		rec := httptest.NewRecorder()

@@ -41,23 +41,34 @@ func TestRingSpreadsKeys(t *testing.T) {
 
 func TestRingRoutesCanonicalSpellingsTogether(t *testing.T) {
 	// Two spellings of the same instance tuple — permuted edge list, explicit
-	// vs defaulted knowledge — must share a canonical key and hence an owner.
-	specs := []InstanceRequest{
-		{Graph: "0-1 0-2 1-3 2-3", Structure: "1;2", Dealer: 0, Receiver: 3},
-		{Graph: "2-3 1-3 0-2 0-1", Structure: "2;1", Knowledge: "adhoc", Dealer: 0, Receiver: 3},
+	// vs defaulted knowledge — must share an owner key and hence an owner.
+	specs := []string{
+		`{"graph":"0-1 0-2 1-3 2-3","structure":"1;2","dealer":0,"receiver":3}`,
+		`{"graph":"2-3 1-3 0-2 0-1","structure":"2;1","knowledge":"adhoc","dealer":0,"receiver":3}`,
 	}
 	r := newHashRing([]string{"http://a", "http://b", "http://c"})
 	var owners []string
-	for _, q := range specs {
-		in, _, err := q.build()
-		if err != nil {
-			t.Fatal(err)
-		}
-		owners = append(owners, r.owner(in.CanonicalKey()))
+	for _, body := range specs {
+		owners = append(owners, r.owner(ownerKeyOf(t, body)))
 	}
 	if owners[0] != owners[1] {
 		t.Fatalf("same instance, different owners: %v", owners)
 	}
+}
+
+// ownerKeyOf parses the instance tuple of a request body the way the router
+// does and returns its ring key.
+func ownerKeyOf(t *testing.T, body string) string {
+	t.Helper()
+	var q InstanceRequest
+	if err := json.Unmarshal([]byte(body), &q); err != nil {
+		t.Fatal(err)
+	}
+	p, err := q.parse()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p.ownerKey()
 }
 
 // ------------------------------------------------------ shard cache protocol
@@ -130,39 +141,37 @@ var fleetWorkload = []string{
 	`{"graph":"0-1 1-2 2-3 3-4","structure":"2","dealer":0,"receiver":4}`,
 }
 
+// TestRouterForwardsByCanonicalKey: every workload instance is forwarded to
+// the shard the ring assigns its owner key, and a re-spelling of an
+// instance follows it there. How evenly the ring spreads keys is pinned by
+// TestRingSpreadsKeys; the shard URLs here are ephemeral ports.
 func TestRouterForwardsByCanonicalKey(t *testing.T) {
-	_, _, rt := newFleet(t, 3)
+	_, urls, rt := newFleet(t, 3)
 	ts := httptest.NewServer(rt)
 	defer ts.Close()
+	ring := newHashRing(urls)
 
-	for _, body := range fleetWorkload {
-		code, resp := post(t, ts, "/v1/feasibility", body)
-		if code != http.StatusOK {
+	// respelled is the butterfly's edges reversed, its structure permuted and
+	// its knowledge spelled out.
+	respelled := `{"graph":"3-4 2-4 1-4 0-3 0-2 0-1","structure":"3;2;1","knowledge":"adhoc","dealer":0,"receiver":4}`
+	for _, body := range append(fleetWorkload, respelled) {
+		before := rt.Forwards()
+		if code, resp := post(t, ts, "/v1/feasibility", body); code != http.StatusOK {
 			t.Fatalf("via router: %d %s", code, resp)
 		}
-	}
-	busy := 0
-	for _, n := range rt.Forwards() {
-		if n > 0 {
-			busy++
+		owner := ring.owner(ownerKeyOf(t, body))
+		for shard, n := range rt.Forwards() {
+			want := before[shard]
+			if shard == owner {
+				want++
+			}
+			if n != want {
+				t.Fatalf("%s: forwards[%s] = %d, want %d (owner %s)", body, shard, n, want, owner)
+			}
 		}
 	}
-	if busy < 2 {
-		t.Fatalf("6 distinct instances landed on %d shard(s): %v", busy, rt.Forwards())
-	}
-
-	// Same instance, different spelling → same shard: total forwards grow by
-	// exactly one on the shard that already owns the butterfly.
-	before := rt.Forwards()
-	respelled := `{"graph":"3-4 2-4 1-4 0-3 0-2 0-1","structure":"3;2;1","knowledge":"adhoc","dealer":0,"receiver":4}`
-	if code, resp := post(t, ts, "/v1/feasibility", respelled); code != http.StatusOK {
-		t.Fatalf("respelled: %d %s", code, resp)
-	}
-	after := rt.Forwards()
-	for shard, n := range after {
-		if n != before[shard] && n != before[shard]+1 {
-			t.Fatalf("respelled instance moved shards: before %v after %v", before, after)
-		}
+	if a, b := ring.owner(ownerKeyOf(t, solvableButterfly)), ring.owner(ownerKeyOf(t, respelled)); a != b {
+		t.Fatalf("re-spelled butterfly owned by %s, the butterfly by %s", b, a)
 	}
 }
 
@@ -242,16 +251,7 @@ func TestShardComputesWhenOwnerHasNoEntry(t *testing.T) {
 	shards, urls, _ := newFleet(t, 3)
 	// A cold fleet: ask a shard that does NOT own this instance. The peer
 	// answers 404 and the shard must compute locally.
-	var q InstanceRequest
-	if err := json.Unmarshal([]byte(solvableButterfly), &q); err != nil {
-		t.Fatal(err)
-	}
-	in, _, err := q.build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	ring := newHashRing(urls)
-	owner := ring.owner(in.CanonicalKey())
+	owner := newHashRing(urls).owner(ownerKeyOf(t, solvableButterfly))
 	var nonOwner int
 	for i, url := range urls {
 		if url != owner {

@@ -4,10 +4,15 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math/rand"
+	"net/http"
+	"net/http/httptest"
+	"regexp"
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	"rmt/internal/adversary"
 	"rmt/internal/cliutil"
@@ -179,4 +184,79 @@ func knowledgeAlias(r *rand.Rand, level gen.Knowledge) string {
 		gen.FullKnowledge: {"full", "FULL"},
 	}[level]
 	return aliases[r.Intn(len(aliases))]
+}
+
+// FuzzWatchRequest sends arbitrary ndjson bodies to an in-process
+// /v1/watch. No body may panic the handler, and every reply is either a
+// 4xx carrying a JSON error or a 200 stream of WatchEvent lines, with
+// increasing revisions, that ends with at most one in-band error line.
+// Bodies naming a node ID above 15 are skipped, so the cut searches stay
+// small; a search that still runs long ends in an in-band deadline line.
+//
+// Run it with:
+//
+//	go test ./internal/server/ -run=^$ -fuzz=FuzzWatchRequest -fuzztime=10s
+func FuzzWatchRequest(f *testing.F) {
+	for _, body := range []string{
+		watchBody(solvableButterfly, watchDeltas...),
+		watchBody(`{"graph":"0-1 0-2 0-3 1-4 2-4 3-4","structure":"1;2;3","knowledge":"full","dealer":0,"receiver":4}`, `{"remove_nodes":[3]}`),
+		watchBody(solvableButterfly, `{"remove_edges":[[1,3]]}`),
+		watchBody(solvableButterfly, "{}", `{"bogus":1}`),
+		"",
+		"{\n",
+		`{"graph":"0-1","dealer":0,"receiver":1,"bogus":1}` + "\n",
+		`{"graph":"0-1","dealer":0,"receiver":9}` + "\n",
+	} {
+		f.Add([]byte(body))
+	}
+	s := New(Options{Workers: 2, CacheSize: 64, MaxWatchDeltas: 8, RequestTimeout: 2 * time.Second, LogWriter: io.Discard})
+	f.Cleanup(s.Close)
+	number := regexp.MustCompile(`[0-9]+`)
+	f.Fuzz(func(t *testing.T, body []byte) {
+		for _, m := range number.FindAll(body, -1) {
+			if id, err := strconv.Atoi(string(m)); err != nil || id > 15 {
+				return
+			}
+		}
+		rec := httptest.NewRecorder()
+		s.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/watch", bytes.NewReader(body)))
+		if rec.Code >= 400 && rec.Code < 500 {
+			var e struct {
+				Error string `json:"error"`
+			}
+			if err := json.Unmarshal(rec.Body.Bytes(), &e); err != nil || e.Error == "" {
+				t.Fatalf("%d reply without a JSON error: %q", rec.Code, rec.Body.Bytes())
+			}
+			return
+		}
+		if rec.Code != http.StatusOK {
+			t.Fatalf("status %d: %q", rec.Code, rec.Body.Bytes())
+		}
+		lines := bytes.Split(bytes.TrimSuffix(rec.Body.Bytes(), []byte("\n")), []byte("\n"))
+		rev := -1
+		for i, line := range lines {
+			var ev WatchEvent
+			dec := json.NewDecoder(bytes.NewReader(line))
+			dec.DisallowUnknownFields()
+			if dec.Decode(&ev) == nil && ev.Key != "" {
+				if ev.Rev <= rev || rev < 0 && ev.Rev != 0 {
+					t.Fatalf("event rev %d after rev %d in %q", ev.Rev, rev, rec.Body.Bytes())
+				}
+				rev = ev.Rev
+				continue
+			}
+			var we watchError
+			dec = json.NewDecoder(bytes.NewReader(line))
+			dec.DisallowUnknownFields()
+			if err := dec.Decode(&we); err != nil || we.Error == "" {
+				t.Fatalf("line %d is neither an event nor an error: %q", i, line)
+			}
+			if i != len(lines)-1 {
+				t.Fatalf("error line %q is not the last of %q", line, rec.Body.Bytes())
+			}
+			if we.Rev < rev {
+				t.Fatalf("error line for rev %d after rev %d", we.Rev, rev)
+			}
+		}
+	})
 }

@@ -11,10 +11,11 @@ import (
 const ringVnodes = 64
 
 // hashRing is a consistent-hash ring over shard base URLs, keyed by the
-// instance's canonical content hash (instance.CanonicalKey). Both the router
-// and every shard build the ring from the same shard list, so they agree on
-// which shard owns which instance without any coordination; adding a shard
-// moves only ~1/n of the keyspace.
+// parsed instance tuple (parsedInstance.ownerKey), so placing a request
+// needs no instance build. Both the router and every shard build the ring
+// from the same shard list, so they agree on which shard owns which
+// instance without any coordination; adding a shard moves only ~1/n of the
+// keyspace.
 type hashRing struct {
 	points []ringPoint // sorted by hash
 }

@@ -38,11 +38,13 @@ type RouterOptions struct {
 }
 
 // Router is the fleet front door: a stateless HTTP handler that forwards
-// each query to the shard owning its instance (consistent hash over
-// instance.CanonicalKey, the same ring every shard builds from its Peers
-// list). Routing by canonical key — not by raw request bytes — means every
-// spelling of the same (G, 𝒵, γ, D, R) tuple lands on the same shard's LRU,
-// so the fleet caches each distinct instance exactly once.
+// each query to the shard owning its instance (consistent hash over the
+// parsed instance tuple — level, D, R and the hash of (G, 𝒵), see
+// parsedInstance.ownerKey — the same ring and key every shard builds from
+// its Peers list). Routing by the parsed tuple — not by raw request bytes —
+// means every spelling of the same instance lands on the same shard's LRU,
+// so the fleet caches each distinct instance exactly once, and the router
+// never builds an instance to route it.
 //
 // The router holds no cache and no worker pool; shard replies are relayed
 // verbatim, preserving the shards' byte-identity guarantee end to end.
@@ -64,7 +66,7 @@ type Router struct {
 	shardErrors atomic.Int64 // transport failures talking to a shard
 	timeouts    atomic.Int64 // 504s: shard exceeded ShardTimeout
 
-	logMu sync.Mutex
+	log accessLog
 }
 
 // NewRouter builds a Router over the given shards.
@@ -90,6 +92,7 @@ func NewRouter(opts RouterOptions) (*Router, error) {
 		mux:          http.NewServeMux(),
 		start:        time.Now(),
 		forwards:     make(map[string]*atomic.Int64, len(opts.Shards)),
+		log:          accessLog{w: opts.LogWriter},
 	}
 	for _, s := range opts.Shards {
 		rt.forwards[s] = &atomic.Int64{}
@@ -137,13 +140,13 @@ func (rt *Router) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 // handleProtocols serves the registry inventory from a fixed shard — every
 // shard runs the same binary, so any one's answer is the fleet's answer.
 func (rt *Router) handleProtocols(w http.ResponseWriter, r *http.Request) {
-	rt.forward(w, r, rt.ring.owner("/v1/protocols"), nil)
+	rt.relay(w, r, rt.ring.owner("/v1/protocols"), nil, false)
 }
 
 // handleQuery routes POST /v1/feasibility and /v1/run: it decodes just the
 // instance tuple from the body (leniently — run-specific fields pass
-// through untouched for the shard to validate), computes the canonical key,
-// and relays the original bytes to the owning shard.
+// through untouched for the shard to validate), parses it for its owner
+// key, and relays the original bytes to the owning shard.
 func (rt *Router) handleQuery(w http.ResponseWriter, r *http.Request) {
 	body, err := io.ReadAll(io.LimitReader(r.Body, rt.opts.MaxBodyBytes))
 	if err != nil {
@@ -157,70 +160,25 @@ func (rt *Router) handleQuery(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "body: %v", err)
 		return
 	}
-	in, _, err := req.build()
+	p, err := req.parse()
 	if err != nil {
 		rt.badRequests.Add(1)
 		writeError(w, http.StatusBadRequest, "instance: %v", err)
 		return
 	}
-	rt.forward(w, r, rt.ring.owner(in.CanonicalKey()), body)
-}
-
-// forward relays the request to shard and the shard's reply to the client,
-// verbatim. A nil body forwards a GET.
-func (rt *Router) forward(w http.ResponseWriter, r *http.Request, shard string, body []byte) {
-	start := time.Now()
-	var req *http.Request
-	var err error
-	if body == nil {
-		req, err = http.NewRequestWithContext(r.Context(), http.MethodGet, shard+r.URL.Path, nil)
-	} else {
-		req, err = http.NewRequestWithContext(r.Context(), http.MethodPost, shard+r.URL.Path, bytes.NewReader(body))
-		if err == nil {
-			req.Header.Set("Content-Type", "application/json")
-		}
-	}
-	if err != nil {
-		rt.shardErrors.Add(1)
-		writeError(w, http.StatusBadGateway, "shard %s: %v", shard, err)
-		return
-	}
-	resp, err := rt.client.Do(req)
-	if err != nil {
-		var ne net.Error
-		if errors.As(err, &ne) && ne.Timeout() {
-			rt.timeouts.Add(1)
-			writeError(w, http.StatusGatewayTimeout, "shard %s: timed out after %s", shard, rt.opts.ShardTimeout)
-			rt.logRequest(r.Method, r.URL.Path, shard, http.StatusGatewayTimeout, time.Since(start))
-			return
-		}
-		rt.shardErrors.Add(1)
-		writeError(w, http.StatusBadGateway, "shard %s: %v", shard, err)
-		return
-	}
-	defer resp.Body.Close()
-	rt.forwards[shard].Add(1)
-	if ct := resp.Header.Get("Content-Type"); ct != "" {
-		w.Header().Set("Content-Type", ct)
-	}
-	w.WriteHeader(resp.StatusCode)
-	io.Copy(w, resp.Body)
-	rt.logRequest(r.Method, r.URL.Path, shard, resp.StatusCode, time.Since(start))
+	rt.relay(w, r, rt.ring.owner(p.ownerKey()), bytes.NewReader(body), false)
 }
 
 // handleWatch routes POST /v1/watch. Unlike handleQuery it cannot slurp the
 // body — the body IS the subscription, a possibly-unbounded delta stream —
-// so it reads exactly the first line (the base instance), computes the
-// canonical key, and splices the consumed bytes back in front of the
-// remainder for the shard. The whole stream goes to the *base* key's owner,
+// so it reads exactly the first line (the base instance), parses it for its
+// owner key, and splices the consumed bytes back in front of the remainder
+// for the shard. The whole stream goes to the *base* instance's owner,
 // which is what keeps every chain revision's cache entry on one shard.
-// Streams ride streamClient (no overall deadline) and each shard chunk is
-// flushed through as it arrives.
 func (rt *Router) handleWatch(w http.ResponseWriter, r *http.Request) {
 	// The client may interleave deltas with our streamed verdicts; allow
 	// reading the request body after response bytes have been written.
-	rc := http.NewResponseController(w)
-	rc.EnableFullDuplex()
+	http.NewResponseController(w).EnableFullDuplex()
 
 	br := bufio.NewReader(r.Body)
 	line, err := readLimitedLine(br, rt.opts.MaxBodyBytes)
@@ -235,25 +193,47 @@ func (rt *Router) handleWatch(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "instance line: %v", err)
 		return
 	}
-	in, _, err := req.build()
+	p, err := req.parse()
 	if err != nil {
 		rt.badRequests.Add(1)
 		writeError(w, http.StatusBadRequest, "instance: %v", err)
 		return
 	}
-	shard := rt.ring.owner(in.CanonicalKey())
+	rt.relay(w, r, rt.ring.owner(p.ownerKey()), io.MultiReader(bytes.NewReader(line), br), true)
+}
 
+// relay forwards r to shard — a GET when body is nil, else a POST of body —
+// and copies the shard's status, Content-Type and body back verbatim. A
+// query rides client, bounded by ShardTimeout. A stream (a watch
+// subscription) rides streamClient, which has no overall deadline, and
+// every chunk of the shard's reply is flushed through as it arrives.
+func (rt *Router) relay(w http.ResponseWriter, r *http.Request, shard string, body io.Reader, stream bool) {
 	start := time.Now()
-	body := io.MultiReader(bytes.NewReader(line), br)
-	preq, err := http.NewRequestWithContext(r.Context(), http.MethodPost, shard+r.URL.Path, body)
+	method, client, ctype := http.MethodGet, rt.client, "application/json"
+	if body != nil {
+		method = http.MethodPost
+	}
+	if stream {
+		client, ctype = rt.streamClient, "application/x-ndjson"
+	}
+	req, err := http.NewRequestWithContext(r.Context(), method, shard+r.URL.Path, body)
 	if err != nil {
 		rt.shardErrors.Add(1)
 		writeError(w, http.StatusBadGateway, "shard %s: %v", shard, err)
 		return
 	}
-	preq.Header.Set("Content-Type", "application/x-ndjson")
-	resp, err := rt.streamClient.Do(preq)
+	if body != nil {
+		req.Header.Set("Content-Type", ctype)
+	}
+	resp, err := client.Do(req)
 	if err != nil {
+		var ne net.Error
+		if errors.As(err, &ne) && ne.Timeout() {
+			rt.timeouts.Add(1)
+			writeError(w, http.StatusGatewayTimeout, "shard %s: timed out after %s", shard, rt.opts.ShardTimeout)
+			rt.log.write(r.Method, r.URL.Path, shard, http.StatusGatewayTimeout, time.Since(start), "")
+			return
+		}
 		rt.shardErrors.Add(1)
 		writeError(w, http.StatusBadGateway, "shard %s: %v", shard, err)
 		return
@@ -264,20 +244,25 @@ func (rt *Router) handleWatch(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", ct)
 	}
 	w.WriteHeader(resp.StatusCode)
-	buf := make([]byte, 32<<10)
-	for {
-		n, rerr := resp.Body.Read(buf)
-		if n > 0 {
-			if _, werr := w.Write(buf[:n]); werr != nil {
-				break
-			}
-			rc.Flush()
-		}
-		if rerr != nil {
-			break
-		}
+	dst := io.Writer(w)
+	if stream {
+		dst = flushWriter{w, http.NewResponseController(w)}
 	}
-	rt.logRequest(r.Method, r.URL.Path, shard, resp.StatusCode, time.Since(start))
+	io.Copy(dst, resp.Body)
+	rt.log.write(r.Method, r.URL.Path, shard, resp.StatusCode, time.Since(start), "")
+}
+
+// flushWriter flushes every write through to the client, so a relayed watch
+// event is not held in a buffer.
+type flushWriter struct {
+	w  io.Writer
+	rc *http.ResponseController
+}
+
+func (f flushWriter) Write(p []byte) (int, error) {
+	n, err := f.w.Write(p)
+	f.rc.Flush()
+	return n, err
 }
 
 // readLimitedLine reads one newline-terminated line (newline included, so
@@ -299,27 +284,4 @@ func readLimitedLine(br *bufio.Reader, limit int64) ([]byte, error) {
 		}
 	}
 	return nil, fmt.Errorf("line exceeds %d bytes", limit)
-}
-
-// logRequest writes one access-log line; a quiet router (io.Discard) skips
-// the timestamp, the marshal and the lock.
-func (rt *Router) logRequest(method, path, shard string, status int, d time.Duration) {
-	if rt.opts.LogWriter == io.Discard {
-		return
-	}
-	entry := struct {
-		Time   string  `json:"time"`
-		Method string  `json:"method"`
-		Path   string  `json:"path"`
-		Shard  string  `json:"shard"`
-		Status int     `json:"status"`
-		Ms     float64 `json:"ms"`
-	}{time.Now().UTC().Format(time.RFC3339Nano), method, path, shard, status, float64(d.Microseconds()) / 1000}
-	b, err := json.Marshal(entry)
-	if err != nil {
-		return
-	}
-	rt.logMu.Lock()
-	defer rt.logMu.Unlock()
-	rt.opts.LogWriter.Write(append(b, '\n'))
 }

@@ -3,25 +3,30 @@
 // registered protocol × engine × schedule × seed, over the same internal
 // packages the CLI tools use.
 //
-// Two pieces make it a daemon rather than a CGI script:
+// Every cached answer — a /v1/feasibility or /v1/run body, one /v1/watch
+// revision — goes through one pipeline (fill):
 //
 //   - results are cached in a size-bounded LRU keyed by the parsed instance
 //     tuple (G, 𝒵, knowledge level, D, R) plus the normalized request
 //     parameters, so repeated queries — the common shape when a notebook or
 //     script sweeps seeds around one topology — are served from memory,
-//     byte-identically, without building the instance's views;
-//   - heavy work runs on a bounded worker pool (eval.Pool) with queue-depth
-//     backpressure: when the queue is full the daemon answers 429 instead of
-//     accumulating goroutines. The per-request deadline context is plumbed
-//     into the compute itself — the cut searches poll it once per candidate
-//     and multi-trial runs poll it between trials — so a timed-out request
-//     answers 504 *and* frees its worker slot promptly rather than leaking
-//     it to a stuck exponential search. A client that disconnects early
-//     cancels its compute the same way, logged as 499 and counted
-//     separately from deadline expiries.
+//     byte-identically, without building the instance's views; in a fleet,
+//     a miss first asks the shard that owns the tuple for its cached body;
+//   - only a compute builds the instance, and it runs on a bounded worker
+//     pool (eval.Pool) with queue-depth backpressure: when the queue is
+//     full the daemon answers 429 instead of accumulating goroutines. The
+//     per-request deadline context is plumbed into the compute itself — the
+//     cut searches poll it once per candidate and multi-trial runs poll it
+//     between trials — so a timed-out request answers 504 *and* frees its
+//     worker slot promptly rather than leaking it to a stuck exponential
+//     search. A client that disconnects early cancels its compute the same
+//     way, logged as 499 and counted separately from deadline expiries. A
+//     protocol precondition the request broke (protocol.CapsError) is a
+//     400. Watch streams, whose status line is already spent, report the
+//     same outcomes in-band.
 //
-// Endpoints: POST /v1/feasibility, POST /v1/run, GET /v1/protocols,
-// GET /healthz, GET /metrics (Prometheus text format).
+// Endpoints: POST /v1/feasibility, POST /v1/run, POST /v1/watch,
+// GET /v1/protocols, GET /healthz, GET /metrics (Prometheus text format).
 package server
 
 import (
@@ -80,9 +85,10 @@ type Options struct {
 	// Peers lists every shard's base URL ("http://host:port") when this
 	// server runs as one shard of a fleet, Self included. Before computing a
 	// cache miss, the shard asks the instance's owning peer (consistent hash
-	// over instance.CanonicalKey — the same ring the Router uses) for its
-	// cached body, so requests that leak past the router, or arrive directly,
-	// still reuse the fleet's work and stay byte-identical with it.
+	// over the parsed instance tuple — the same ring and key the Router
+	// uses) for its cached body, so requests that leak past the router, or
+	// arrive directly, still reuse the fleet's work and stay byte-identical
+	// with it.
 	Peers []string
 	// Self is this shard's own entry in Peers; keys it owns are computed
 	// locally without a peer round-trip.
@@ -123,12 +129,12 @@ type Server struct {
 	metrics *serverMetrics
 	mux     *http.ServeMux
 
-	// ring maps canonical instance keys to owning peers; nil when the server
+	// ring maps instance owner keys to owning peers; nil when the server
 	// runs standalone (no Peers configured).
 	ring       *hashRing
 	peerClient *http.Client
 
-	logMu sync.Mutex
+	log accessLog
 }
 
 // New builds a Server with started workers.
@@ -140,6 +146,7 @@ func New(opts Options) *Server {
 		cache:   newResultCache(opts.CacheSize),
 		metrics: newServerMetrics(),
 		mux:     http.NewServeMux(),
+		log:     accessLog{w: opts.LogWriter},
 	}
 	if len(opts.Peers) > 0 {
 		s.ring = newHashRing(opts.Peers)
@@ -177,14 +184,14 @@ func (s *Server) instrument(endpoint string, h http.HandlerFunc) http.HandlerFun
 		h(rec, r)
 		d := time.Since(start)
 		s.metrics.observe(endpoint, rec.code, d)
-		s.logRequest(r.Method, endpoint, rec.code, d, rec.cache)
+		s.log.write(r.Method, endpoint, "", rec.code, d, rec.cache)
 	}
 }
 
 type statusRecorder struct {
 	http.ResponseWriter
 	code  int
-	cache string // "hit", "miss" or "" for uncacheable endpoints
+	cache string // "hit", "peer", "miss" or "" for uncacheable endpoints
 }
 
 func (r *statusRecorder) WriteHeader(code int) {
@@ -196,27 +203,36 @@ func (r *statusRecorder) WriteHeader(code int) {
 // and EnableFullDuplex — the watch stream needs both.
 func (r *statusRecorder) Unwrap() http.ResponseWriter { return r.ResponseWriter }
 
-// logRequest writes one access-log line; a quiet server (io.Discard) skips
-// the timestamp, the marshal and the lock.
-func (s *Server) logRequest(method, path string, status int, d time.Duration, cache string) {
-	if s.opts.LogWriter == io.Discard {
+// accessLog is the structured access log of a shard or a router: one JSON
+// object per request.
+type accessLog struct {
+	w  io.Writer
+	mu sync.Mutex
+}
+
+// write logs one request. shard (the router's target) and cache (a shard's
+// cache disposition) are omitted when empty. A quiet process (io.Discard)
+// skips the timestamp, the marshal and the lock.
+func (l *accessLog) write(method, path, shard string, status int, d time.Duration, cache string) {
+	if l.w == io.Discard {
 		return
 	}
 	entry := struct {
 		Time   string  `json:"time"`
 		Method string  `json:"method"`
 		Path   string  `json:"path"`
+		Shard  string  `json:"shard,omitempty"`
 		Status int     `json:"status"`
 		Ms     float64 `json:"ms"`
 		Cache  string  `json:"cache,omitempty"`
-	}{time.Now().UTC().Format(time.RFC3339Nano), method, path, status, float64(d.Microseconds()) / 1000, cache}
+	}{time.Now().UTC().Format(time.RFC3339Nano), method, path, shard, status, float64(d.Microseconds()) / 1000, cache}
 	b, err := json.Marshal(entry)
 	if err != nil {
 		return
 	}
-	s.logMu.Lock()
-	defer s.logMu.Unlock()
-	s.opts.LogWriter.Write(append(b, '\n'))
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.w.Write(append(b, '\n'))
 }
 
 // ---------------------------------------------------------------- responses
@@ -355,17 +371,6 @@ func (p parsedInstance) build() (*instance.Instance, error) {
 	return gen.Build(p.g, p.z, p.level, p.dealer, p.receiver)
 }
 
-// build parses and builds in one step, for the paths that always need the
-// instance or its canonical key (/v1/watch and the router).
-func (q InstanceRequest) build() (*instance.Instance, gen.Knowledge, error) {
-	p, err := q.parse()
-	if err != nil {
-		return nil, 0, err
-	}
-	in, err := p.build()
-	return in, p.level, err
-}
-
 // appendKey appends the parsed tuple's share of a result-cache key: the
 // knowledge level, the terminals and instance.AppendTupleHash of (G, 𝒵).
 // The level fixes γ as a function of G, so equal shares mean equal
@@ -381,25 +386,37 @@ func (p parsedInstance) appendKey(b []byte) []byte {
 	return instance.AppendTupleHash(b, p.g, p.z)
 }
 
+// ownerKey places the instance on the fleet's hash ring. The router, the
+// shards' peer fetches and watch streams all key ownership by it, so every
+// spelling of a tuple — and every request parameter set on it — lands on
+// one shard, and no one builds an instance to find out which.
+func (p parsedInstance) ownerKey() string {
+	return string(p.appendKey(make([]byte, 0, 128)))
+}
+
 // ------------------------------------------------------- pooled computation
 
 // statusClientClosedRequest is nginx's convention for "the client went away
 // before we could answer" — there is no official HTTP code for it.
 const statusClientClosedRequest = 499
 
-// compute runs fn on the worker pool under the request deadline and returns
-// the response body. fn receives the deadline context, which is also
-// canceled when the client disconnects; fn must poll it during long work so
-// an abandoned request frees its worker slot. compute maps overload to 429,
-// deadline expiry to 504 and client disconnect to 499, recording each
-// outcome in the metrics; a nil body means the reply was already sent.
-func (s *Server) compute(w http.ResponseWriter, r *http.Request, fn func(ctx context.Context) ([]byte, error)) []byte {
+// errOverloaded is the pool's refusal: QueueDepth requests are already
+// admitted and waiting.
+var errOverloaded = errors.New("overloaded")
+
+// run executes fn on the worker pool under the per-request deadline and
+// returns its body. fn receives the deadline context, which is also
+// canceled when parent — the client's request — ends; fn must poll it
+// during long work so an abandoned request frees its worker slot. This is
+// the daemon's one pool-submission site; failure maps its errors to a
+// status.
+func (s *Server) run(parent context.Context, fn func(ctx context.Context) ([]byte, error)) ([]byte, error) {
+	ctx, cancel := context.WithTimeout(parent, s.opts.RequestTimeout)
+	defer cancel()
 	type outcome struct {
 		body []byte
 		err  error
 	}
-	ctx, cancel := context.WithTimeout(r.Context(), s.opts.RequestTimeout)
-	defer cancel()
 	done := make(chan outcome, 1)
 	job := func() {
 		defer func() {
@@ -414,103 +431,104 @@ func (s *Server) compute(w http.ResponseWriter, r *http.Request, fn func(ctx con
 		done <- outcome{body, err}
 	}
 	if !s.pool.TrySubmit(job) {
-		s.metrics.rejected.Add(1)
-		writeError(w, http.StatusTooManyRequests, "overloaded: %d requests in flight", s.pool.Depth())
-		return nil
+		return nil, fmt.Errorf("%w: %d requests in flight", errOverloaded, s.pool.Depth())
 	}
 	select {
 	case out := <-done:
-		if out.err != nil {
-			if errors.Is(out.err, context.Canceled) || errors.Is(out.err, context.DeadlineExceeded) {
-				s.interrupted(w, r)
-				return nil
-			}
-			writeError(w, http.StatusInternalServerError, "%v", out.err)
-			return nil
-		}
-		return out.body
+		return out.body, out.err
 	case <-ctx.Done():
-		s.interrupted(w, r)
-		return nil
+		return nil, ctx.Err()
 	}
 }
 
-// interrupted answers a request whose compute context ended before a result:
-// a client disconnect (the parent request context is done) is logged as 499
-// and counted in rmtd_client_cancels_total — it is not a compute timeout and
-// must not skew that metric — while a genuine deadline expiry is a 504
-// counted in rmtd_timeouts_total.
-func (s *Server) interrupted(w http.ResponseWriter, r *http.Request) {
-	if r.Context().Err() != nil {
-		s.metrics.cancels.Add(1)
-		writeError(w, statusClientClosedRequest, "client closed the request")
-		return
+// failure maps a pipeline error to the reply's status and message and
+// counts it. Overload is a 429 (rmtd_rejected_total). A compute context
+// that ended is a 499 when the client went away (parent is done; counted in
+// rmtd_client_cancels_total — it is not a compute timeout and must not skew
+// that metric) and a 504 otherwise (rmtd_timeouts_total). A protocol
+// precondition the request broke, such as mbrb on a network that is not
+// complete, is a 400. Anything else is a 500.
+func (s *Server) failure(parent context.Context, err error) (int, string) {
+	switch {
+	case errors.Is(err, errOverloaded):
+		s.metrics.rejected.Add(1)
+		return http.StatusTooManyRequests, err.Error()
+	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
+		if parent.Err() != nil {
+			s.metrics.cancels.Add(1)
+			return statusClientClosedRequest, "client closed the request"
+		}
+		s.metrics.timeouts.Add(1)
+		return http.StatusGatewayTimeout, fmt.Sprintf("deadline exceeded after %v", s.opts.RequestTimeout)
+	case protocol.IsCapsError(err):
+		return http.StatusBadRequest, err.Error()
 	}
-	s.metrics.timeouts.Add(1)
-	writeError(w, http.StatusGatewayTimeout, "deadline exceeded after %v", s.opts.RequestTimeout)
+	return http.StatusInternalServerError, err.Error()
 }
 
-// serveCached answers from the result cache or computes, caches and serves.
-// The incumbent body always wins (see resultCache.put), so equal cache keys
-// get byte-identical replies regardless of worker count or arrival order.
-//
-// A hit is served from the parsed request alone. Only a miss builds the
-// instance: fn computes on it, and its canonical content hash is the unit
-// of fleet ownership — in a sharded fleet, a local miss on a key another
-// shard owns first asks that peer's cache (see fetchFromPeer) before
-// computing.
-func (s *Server) serveCached(w http.ResponseWriter, r *http.Request, key string, p parsedInstance, fn func(ctx context.Context, in *instance.Instance) ([]byte, error)) {
-	rec, _ := w.(*statusRecorder)
+// fill returns the body cached under key, and where it came from: the
+// local LRU ("hit"); else the cache of the peer that owns the instance
+// ("peer", see fetchFromPeer); else fn's result, computed on the pool
+// and stored ("miss"). The incumbent body always wins (see
+// resultCache.put), so equal keys get byte-identical bodies regardless of
+// worker count, arrival order or shard.
+func (s *Server) fill(ctx context.Context, key string, owner parsedInstance, fn func(ctx context.Context) ([]byte, error)) ([]byte, string, error) {
 	if body, ok := s.cache.get(key); ok {
 		s.metrics.cacheHits.Add(1)
-		if rec != nil {
-			rec.cache = "hit"
-		}
-		writeJSON(w, http.StatusOK, body)
-		return
-	}
-	in, err := p.build()
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "instance: %v", err)
-		return
+		return body, "hit", nil
 	}
 	s.metrics.cacheMisses.Add(1)
-	if rec != nil {
-		rec.cache = "miss"
-	}
-	if body, ok := s.fetchFromPeer(r.Context(), key, in.CanonicalKey()); ok {
-		if rec != nil {
-			rec.cache = "peer"
-		}
+	if body, ok := s.fetchFromPeer(ctx, key, owner); ok {
 		s.cache.put(key, body)
-		writeJSON(w, http.StatusOK, body)
-		return
+		return body, "peer", nil
 	}
-	body := s.compute(w, r, func(ctx context.Context) ([]byte, error) { return fn(ctx, in) })
-	if body == nil {
-		return
+	body, err := s.run(ctx, fn)
+	if err != nil {
+		return nil, "miss", err
 	}
 	s.cache.put(key, body)
 	if cached, ok := s.cache.get(key); ok {
 		body = cached
 	}
+	return body, "miss", nil
+}
+
+// serveCached answers a /v1/feasibility or /v1/run request through fill
+// and logs its cache disposition. A hit is served from the parsed request
+// alone; only a compute builds the instance fn runs on.
+func (s *Server) serveCached(w http.ResponseWriter, r *http.Request, key string, p parsedInstance, fn func(ctx context.Context, in *instance.Instance) ([]byte, error)) {
+	body, source, err := s.fill(r.Context(), key, p, func(ctx context.Context) ([]byte, error) {
+		in, err := p.build()
+		if err != nil {
+			return nil, fmt.Errorf("instance: %w", err)
+		}
+		return fn(ctx, in)
+	})
+	if rec, ok := w.(*statusRecorder); ok {
+		rec.cache = source
+	}
+	if err != nil {
+		code, msg := s.failure(r.Context(), err)
+		writeError(w, code, "%s", msg)
+		return
+	}
 	writeJSON(w, http.StatusOK, body)
 }
 
 // fetchFromPeer asks the owning peer's cache for key when this server is a
-// fleet shard that does not own ownerKey. A hit returns the owner's exact
-// bytes (preserving fleet-wide byte-identity); any miss or transport error
-// falls back to local compute — the peer protocol is an optimization, never
-// a dependency.
-func (s *Server) fetchFromPeer(ctx context.Context, key, ownerKey string) ([]byte, bool) {
+// fleet shard that does not own the instance. A hit returns the owner's
+// exact bytes (preserving fleet-wide byte-identity); any miss or transport
+// error falls back to local compute — the peer protocol is an
+// optimization, never a dependency.
+func (s *Server) fetchFromPeer(ctx context.Context, key string, owner parsedInstance) ([]byte, bool) {
 	if s.ring == nil {
 		return nil, false
 	}
-	owner := s.ring.owner(ownerKey)
-	if owner == "" || owner == s.opts.Self {
+	peer := s.ring.owner(owner.ownerKey())
+	if peer == "" || peer == s.opts.Self {
 		return nil, false
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, owner+"/internal/cache", strings.NewReader(key))
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, peer+"/internal/cache", strings.NewReader(key))
 	if err != nil {
 		return nil, false
 	}
@@ -868,6 +886,14 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	if req.MaxRounds < 0 {
 		writeError(w, http.StatusBadRequest, "max_rounds must be ≥ 0")
 		return
+	}
+	// Node sets are dense bitsets: bound client IDs as the instance parsers
+	// do before one is allocated.
+	for _, id := range req.Corrupt {
+		if id < 0 || id > cliutil.MaxNodeID {
+			writeError(w, http.StatusBadRequest, "corrupt: node %d is outside [0, %d]", id, cliutil.MaxNodeID)
+			return
+		}
 	}
 	corrupt := nodeset.Of(req.Corrupt...)
 	if !p.z.Contains(corrupt) {

@@ -463,45 +463,83 @@ func TestDeadlineAnswers504(t *testing.T) {
 // TestClientCancelNotCountedAsTimeout: a client that disconnects while its
 // request waits on the pool is recorded in rmtd_client_cancels_total (and
 // logged as 499), not in rmtd_timeouts_total — the timeout metric must only
-// count genuine compute-deadline expiries.
+// count genuine compute-deadline expiries. A watch revision is counted the
+// same way as a unary query.
 func TestClientCancelNotCountedAsTimeout(t *testing.T) {
-	s, ts := newTestServer(t, Options{Workers: 1, QueueDepth: 4})
-	release := make(chan struct{})
-	defer close(release)
-	blocked := make(chan struct{})
-	if !s.pool.TrySubmit(func() { close(blocked); <-release }) {
-		t.Fatal("could not occupy the worker")
-	}
-	<-blocked
-	cctx, cancel := context.WithCancel(context.Background())
-	errc := make(chan error, 1)
-	go func() {
-		req, err := http.NewRequestWithContext(cctx, http.MethodPost, ts.URL+"/v1/feasibility", strings.NewReader(solvableButterfly))
-		if err != nil {
+	for path, body := range map[string]string{
+		"/v1/feasibility": solvableButterfly,
+		"/v1/watch":       watchBody(solvableButterfly, watchDeltas...),
+	} {
+		s, ts := newTestServer(t, Options{Workers: 1, QueueDepth: 4})
+		release := make(chan struct{})
+		t.Cleanup(func() { close(release) }) // before the server's Close, which drains the pool
+		blocked := make(chan struct{})
+		if !s.pool.TrySubmit(func() { close(blocked); <-release }) {
+			t.Fatal("could not occupy the worker")
+		}
+		<-blocked
+		cctx, cancel := context.WithCancel(context.Background())
+		errc := make(chan error, 1)
+		go func() {
+			req, err := http.NewRequestWithContext(cctx, http.MethodPost, ts.URL+path, strings.NewReader(body))
+			if err != nil {
+				errc <- err
+				return
+			}
+			req.Header.Set("Content-Type", "application/json")
+			resp, err := http.DefaultClient.Do(req)
+			if err == nil {
+				resp.Body.Close()
+			}
 			errc <- err
-			return
+		}()
+		time.Sleep(50 * time.Millisecond) // let the request queue behind the blocked worker
+		cancel()
+		if err := <-errc; err == nil {
+			t.Fatalf("%s: canceled request did not error on the client side", path)
 		}
-		req.Header.Set("Content-Type", "application/json")
-		resp, err := http.DefaultClient.Do(req)
-		if err == nil {
-			resp.Body.Close()
+		deadline := time.Now().Add(2 * time.Second)
+		for s.metrics.cancels.Load() == 0 {
+			if time.Now().After(deadline) {
+				t.Fatalf("%s: client cancel was never recorded in rmtd_client_cancels_total", path)
+			}
+			time.Sleep(5 * time.Millisecond)
 		}
-		errc <- err
-	}()
-	time.Sleep(50 * time.Millisecond) // let the request queue behind the blocked worker
-	cancel()
-	if err := <-errc; err == nil {
-		t.Fatal("canceled request did not error on the client side")
+		if got := s.metrics.timeouts.Load(); got != 0 {
+			t.Fatalf("%s: timeouts counter = %d, want 0 — a client cancel is not a compute timeout", path, got)
+		}
 	}
-	deadline := time.Now().Add(2 * time.Second)
-	for s.metrics.cancels.Load() == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("client cancel was never recorded in rmtd_client_cancels_total")
-		}
-		time.Sleep(5 * time.Millisecond)
+}
+
+// TestWatchDeadlineCountsTimeout: a watch revision that passes its compute
+// deadline ends the stream with an in-band error line for that revision
+// and counts in rmtd_timeouts_total, as a 504 on a unary query does.
+func TestWatchDeadlineCountsTimeout(t *testing.T) {
+	s, ts := newTestServer(t, Options{RequestTimeout: time.Nanosecond})
+	code, lines := postWatch(t, ts, watchBody(solvableButterfly, watchDeltas...))
+	if code != http.StatusOK || len(lines) != 1 {
+		t.Fatalf("watch: %d %s, want 200 and one error line", code, bytes.Join(lines, []byte("\n")))
 	}
-	if got := s.metrics.timeouts.Load(); got != 0 {
-		t.Fatalf("timeouts counter = %d, want 0 — a client cancel is not a compute timeout", got)
+	if got, want := string(lines[0]), `{"error":"deadline exceeded after 1ns","rev":0}`; got != want {
+		t.Fatalf("terminal line %s, want %s", got, want)
+	}
+	if got := s.metrics.timeouts.Load(); got != 1 {
+		t.Fatalf("timeouts counter = %d, want 1", got)
+	}
+}
+
+// TestCapsErrorAnswers400: a protocol precondition the request broke — mbrb
+// on a network that is not complete — is the client's mistake: 400, with
+// the protocol's own error text.
+func TestCapsErrorAnswers400(t *testing.T) {
+	s := New(Options{LogWriter: io.Discard})
+	t.Cleanup(s.Close)
+	rec := httptest.NewRecorder()
+	body := `{"graph":"0-1 0-2 1-3 2-3","structure":"1;2","dealer":0,"receiver":3,"protocol":"mbrb"}`
+	s.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/run", strings.NewReader(body)))
+	want := `{"error":"mbrb: network is not complete (n=4); MBRB quorums count processes, not paths"}` + "\n"
+	if rec.Code != http.StatusBadRequest || rec.Body.String() != want {
+		t.Fatalf("mbrb on the diamond: %d %s, want 400 %s", rec.Code, rec.Body.String(), want)
 	}
 }
 

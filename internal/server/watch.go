@@ -54,9 +54,11 @@ type watchError struct {
 // under the revision's chain key — a domain-separated hash of (previous
 // key, delta) that can never equal any base instance's canonical key, so
 // chain revisions and base instances never shadow or evict one another. In
-// a fleet the whole stream is routed by the *base* key and every revision's
-// cache entry lives on the base owner's shard, preserving the peer-cache
-// ownership semantics for the chain.
+// a fleet the whole stream is routed by the *base* instance's owner key
+// (its parsed tuple, see parsedInstance.ownerKey) and every revision's
+// cache entry lives on that shard, preserving the peer-cache ownership
+// semantics for the chain. Each revision goes through the same fill and
+// failure as the unary endpoints, reported in-band.
 func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
 	// Full duplex lets the handler keep reading deltas from the request
 	// body after the first verdict line is written — the interactive
@@ -80,7 +82,12 @@ func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "instance line: %v", err)
 		return
 	}
-	in, level, err := req.build()
+	p, err := req.parse()
+	if err != nil {
+		writeError(w, http.StatusBadRequest, "instance: %v", err)
+		return
+	}
+	cur, err := p.build()
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "instance: %v", err)
 		return
@@ -89,23 +96,22 @@ func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
 
-	base := in.CanonicalKey()
-	key := base
+	key := cur.CanonicalKey()
 	incR := core.NewIncrementalCut()
 	var incZ *zcpa.IncrementalCut
-	if level == gen.AdHoc {
+	if p.level == gen.AdHoc {
 		incZ = zcpa.NewIncrementalCut()
 	}
-	cur := in
 	var prev *WatchEvent
 	for rev := 0; ; rev++ {
 		if rev > s.opts.MaxWatchDeltas {
 			s.watchFail(w, rc, rev, "delta limit %d exceeded", s.opts.MaxWatchDeltas)
 			return
 		}
-		ev, body, err := s.watchVerdict(r.Context(), cur, level, base, key, rev, incR, incZ)
+		ev, body, err := s.watchVerdict(r.Context(), p, cur, key, rev, incR, incZ)
 		if err != nil {
-			s.watchFail(w, rc, rev, "%v", err)
+			_, msg := s.failure(r.Context(), err)
+			s.watchFail(w, rc, rev, "%s", msg)
 			return
 		}
 		if prev == nil || verdictChanged(prev, ev) {
@@ -135,7 +141,7 @@ func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
 			s.watchFail(w, rc, rev+1, "delta %d: %v", rev+1, err)
 			return
 		}
-		next, err := gen.ApplyDelta(cur, d, level)
+		next, err := gen.ApplyDelta(cur, d, p.level)
 		if err != nil {
 			s.watchFail(w, rc, rev+1, "delta %d: %v", rev+1, err)
 			return
@@ -145,32 +151,17 @@ func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// watchVerdict produces one revision's verdict event, preferring the local
-// LRU, then the base owner's peer cache, then computing on the worker pool
-// under the per-step deadline. The returned body is exactly the bytes the
-// cache holds (first body wins), so equal chains stream byte-identical
-// events fleet-wide. Compute paths advance the incremental checkers as a
-// side effect; cache and peer hits re-seed them from the decoded (and
+// watchVerdict produces one revision's verdict event through fill: the
+// local LRU, then the peer that owns the base instance, then the worker
+// pool under the per-step deadline. The returned body is exactly the bytes
+// the cache holds (first body wins), so equal chains stream byte-identical
+// events fleet-wide. A compute advances the incremental checkers as a side
+// effect; a cache or peer hit re-seeds them from the decoded (and
 // re-verified) witness so the next revision can still repair.
-func (s *Server) watchVerdict(ctx context.Context, cur *instance.Instance, level gen.Knowledge, base, key string, rev int, incR *core.IncrementalCut, incZ *zcpa.IncrementalCut) (*WatchEvent, []byte, error) {
-	cacheKey := "watch-v1\n" + level.String() + "\n" + key
-	if body, ok := s.cache.get(cacheKey); ok {
-		if ev, err := decodeWatchEvent(body); err == nil {
-			s.metrics.cacheHits.Add(1)
-			seedCheckers(cur, ev, incR, incZ)
-			return ev, body, nil
-		}
-	}
-	s.metrics.cacheMisses.Add(1)
-	if body, ok := s.fetchFromPeer(ctx, cacheKey, base); ok {
-		if ev, err := decodeWatchEvent(body); err == nil {
-			s.cache.put(cacheKey, body)
-			seedCheckers(cur, ev, incR, incZ)
-			return ev, body, nil
-		}
-	}
-	body, err := s.poolCompute(ctx, func(ctx context.Context) ([]byte, error) {
-		ev := &WatchEvent{Rev: rev, Key: key, Knowledge: level.String()}
+func (s *Server) watchVerdict(ctx context.Context, base parsedInstance, cur *instance.Instance, key string, rev int, incR *core.IncrementalCut, incZ *zcpa.IncrementalCut) (*WatchEvent, []byte, error) {
+	level := base.level.String()
+	body, source, err := s.fill(ctx, "watch-v1\n"+level+"\n"+key, base, func(ctx context.Context) ([]byte, error) {
+		ev := &WatchEvent{Rev: rev, Key: key, Knowledge: level}
 		var err error
 		if ev.PKA, err = checkVerdict(ctx, incR, cur); err != nil {
 			return nil, err
@@ -187,47 +178,14 @@ func (s *Server) watchVerdict(ctx context.Context, cur *instance.Instance, level
 	if err != nil {
 		return nil, nil, err
 	}
-	s.cache.put(cacheKey, body)
-	if cached, ok := s.cache.get(cacheKey); ok {
-		body = cached
-	}
 	ev, err := decodeWatchEvent(body)
 	if err != nil {
 		return nil, nil, err
 	}
+	if source != "miss" {
+		seedCheckers(cur, ev, incR, incZ)
+	}
 	return ev, body, nil
-}
-
-// poolCompute runs fn on the worker pool under the per-request deadline and
-// returns its body. Unlike compute it writes no HTTP response — watch
-// streams report errors in-band after the status line is spent.
-func (s *Server) poolCompute(parent context.Context, fn func(ctx context.Context) ([]byte, error)) ([]byte, error) {
-	ctx, cancel := context.WithTimeout(parent, s.opts.RequestTimeout)
-	defer cancel()
-	type outcome struct {
-		body []byte
-		err  error
-	}
-	done := make(chan outcome, 1)
-	job := func() {
-		defer func() {
-			if p := recover(); p != nil {
-				done <- outcome{nil, fmt.Errorf("panic: %v", p)}
-			}
-		}()
-		body, err := fn(ctx)
-		done <- outcome{body, err}
-	}
-	if !s.pool.TrySubmit(job) {
-		s.metrics.rejected.Add(1)
-		return nil, fmt.Errorf("overloaded: %d requests in flight", s.pool.Depth())
-	}
-	select {
-	case out := <-done:
-		return out.body, out.err
-	case <-ctx.Done():
-		return nil, ctx.Err()
-	}
 }
 
 // checkVerdict advances an incremental checker by one revision and

@@ -322,8 +322,8 @@ func TestWatchValidation(t *testing.T) {
 
 // TestRouterForwardsWatchByBaseKey: a watch subscription through the router
 // produces the same event stream as a direct shard subscription, and the
-// whole stream lands on the shard owning the *base* instance's canonical
-// key — chain revisions never scatter across the ring.
+// whole stream lands on the shard owning the *base* instance's owner key —
+// chain revisions never scatter across the ring.
 func TestRouterForwardsWatchByBaseKey(t *testing.T) {
 	_, urls, rt := newFleet(t, 3)
 	ts := httptest.NewServer(rt)
@@ -339,15 +339,7 @@ func TestRouterForwardsWatchByBaseKey(t *testing.T) {
 		t.Fatalf("want 3 events via router, got %d:\n%s", len(events), bytes.Join(lines, []byte("\n")))
 	}
 
-	var q InstanceRequest
-	if err := json.Unmarshal([]byte(solvableButterfly), &q); err != nil {
-		t.Fatal(err)
-	}
-	in, _, err := q.build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	owner := newHashRing(urls).owner(in.CanonicalKey())
+	owner := newHashRing(urls).owner(ownerKeyOf(t, solvableButterfly))
 	for shard, n := range rt.Forwards() {
 		want := int64(0)
 		if shard == owner {
